@@ -1,10 +1,18 @@
 """Canonical forms, isomorphism tests, and automorphism orbits.
 
-Exact for n <= 16: equitable partition refinement plus individualize-and-
-refine backtracking.  Nearly-rigid graphs (the bulk of every sweep) short-
-cut through a brute minimum over the few orderings consistent with the
-refined partition; the backtracking path handles the symmetric stragglers
-with automorphism pruning.  Equal form bytes <=> isomorphic.
+Exact for n <= 16, by one engine: equitable partition refinement plus
+individualize-and-refine backtracking.  Nearly-rigid graphs (the bulk of
+every sweep) short-cut through a brute minimum over the few orderings
+consistent with the refined partition; the backtracking path handles the
+symmetric stragglers with automorphism pruning.  Equal form bytes <=>
+isomorphic.
+
+Multigraphs go through the same engine.  A row gives each vertex u a
+`width`-bit field at bit width*u, width being the largest multiplicity, and
+stores multiplicity k there in unary as k ones, so a masked popcount counts
+edges with multiplicity.  At width 1 the rows are plain adjacency masks.
+Multigraph forms carry their width in the header and never equal a simple
+graph's form.
 
 An optional vertex coloring (ordered list of cell masks) restricts both
 isomorphisms and forms to color-preserving maps; marked structures are
@@ -24,14 +32,23 @@ for _i in range(1, 24):
 
 
 # ---------------------------------------------------------------------------
-# simple-graph engine (bitmask rows; the hot path)
+# engine (bitmask rows of width-bit fields; width 1 is the hot path)
 
 
-def _refine_simple(rows, cells):
+def _spread(mask, width):
+    """A vertex mask widened to whole width-bit fields."""
+    field = (1 << width) - 1
+    out = 0
+    for u in bits(mask):
+        out |= field << (width * u)
+    return out
+
+
+def _refine_simple(rows, cells, width=1):
     """Equitable refinement of an ordered partition given as a mask list.
 
-    Splitting is driven by neighbor counts into splitter cells; sub-cells
-    are ordered by ascending count, so the result depends only on the
+    Splitting is driven by edge counts into splitter cells; sub-cells are
+    ordered by ascending count, so the result depends only on the
     isomorphism type of the partitioned graph.
     """
     cells = list(cells)
@@ -39,6 +56,8 @@ def _refine_simple(rows, cells):
     while changed:
         changed = False
         for w in tuple(cells):
+            if width > 1:
+                w = _spread(w, width)
             i = 0
             while i < len(cells):
                 cell = cells[i]
@@ -63,9 +82,14 @@ def _refine_simple(rows, cells):
     return cells
 
 
-def _leafkey_simple(rows, order, pos):
-    for i, v in enumerate(order):
-        pos[v] = i
+def _leafkey_simple(rows, order, pos, width=1):
+    # pos maps each row bit to its bit in the relabeled row
+    if width == 1:
+        for i, v in enumerate(order):
+            pos[v] = i
+    else:
+        for i, v in enumerate(order):
+            pos[width * v : width * v + width] = range(width * i, width * i + width)
     key = []
     for v in order:
         m = rows[v]
@@ -78,14 +102,14 @@ def _leafkey_simple(rows, order, pos):
     return tuple(key)
 
 
-def _brute_min_simple(rows, cells, n):
+def _brute_min_simple(rows, cells, n, width=1):
     pools = [tuple(bits(c)) for c in cells]
-    pos = [0] * n
+    pos = [0] * (n * width)
     best_key = None
     best_orders = None
     for choice in itertools.product(*(itertools.permutations(p) for p in pools)):
         order = [v for grp in choice for v in grp]
-        key = _leafkey_simple(rows, order, pos)
+        key = _leafkey_simple(rows, order, pos, width)
         if best_key is None or key < best_key:
             best_key = key
             best_orders = [order]
@@ -101,8 +125,8 @@ def _brute_min_simple(rows, cells, n):
     return best_key, o0, gens
 
 
-def _ir_search_simple(rows, cells0, n):
-    pos = [0] * n
+def _ir_search_simple(rows, cells0, n, width=1):
+    pos = [0] * (n * width)
     state = {"first_key": None, "first_order": None, "best_key": None, "best_order": None}
     gens = []
     gen_seen = set()
@@ -118,13 +142,13 @@ def _ir_search_simple(rows, cells0, n):
             gens.append(t)
 
     def search(cells, path):
-        cells = _refine_simple(rows, cells)
+        cells = _refine_simple(rows, cells, width)
         for idx, c in enumerate(cells):
             if c & (c - 1):
                 break
         else:
             order = [c.bit_length() - 1 for c in cells]
-            key = _leafkey_simple(rows, order, pos)
+            key = _leafkey_simple(rows, order, pos, width)
             if state["first_key"] is None:
                 state["first_key"] = key
                 state["first_order"] = order
@@ -190,8 +214,8 @@ def _orbits_from_gens(n, gens):
     return tuple(norm[r] for r in reps)
 
 
-def canon_simple_rows(n, rows, cells=None):
-    """Canonize a simple graph given as adjacency-mask rows.
+def canon_simple_rows(n, rows, cells=None, *, width=1):
+    """Canonize a graph given as adjacency rows of width-bit fields.
 
     Returns (form_bytes, order, orbits) where order[i] is the original
     vertex placed at canonical position i, and orbits gives a sound (may be
@@ -201,103 +225,26 @@ def canon_simple_rows(n, rows, cells=None):
         return b"S\x00|", (), ()
     init = [(1 << n) - 1] if cells is None else list(cells)
     sizes = bytes(c.bit_count() for c in init)
-    refined = _refine_simple(rows, init)
+    refined = _refine_simple(rows, init, width)
     prod = 1
     for c in refined:
         prod *= _FACT[c.bit_count()]
         if prod > _BRUTE_CAP:
             break
     if prod <= _BRUTE_CAP:
-        key, order, gens = _brute_min_simple(rows, refined, n)
+        key, order, gens = _brute_min_simple(rows, refined, n, width)
     else:
-        key, order, gens = _ir_search_simple(rows, refined, n)
+        key, order, gens = _ir_search_simple(rows, refined, n, width)
+    field = (1 << width) - 1
     acc = 0
-    nbits = 0
     for i in range(n):
         ri = key[i]
-        for j in range(i + 1, n):
-            acc = acc << 1 | (ri >> j & 1)
-            nbits += 1
+        for shift in range(width * (i + 1), width * n, width):
+            acc = acc << width | (ri >> shift & field)
+    nbits = width * n * (n - 1) // 2
     payload = acc.to_bytes((nbits + 7) // 8, "big") if nbits else b""
-    form = b"S" + bytes([n]) + sizes + b"|" + payload
-    return form, tuple(order), _orbits_from_gens(n, gens)
-
-
-# ---------------------------------------------------------------------------
-# weighted engine (multigraphs; low volume, mirrors the simple one)
-
-
-def _refine_weighted(wrows, cells):
-    cells = list(cells)
-    changed = True
-    while changed:
-        changed = False
-        for w in tuple(cells):
-            wverts = tuple(bits(w))
-            i = 0
-            while i < len(cells):
-                cell = cells[i]
-                if cell & (cell - 1):
-                    groups = {}
-                    for v in bits(cell):
-                        row = wrows[v]
-                        k = sum(row[u] for u in wverts)
-                        groups[k] = groups.get(k, 0) | 1 << v
-                    if len(groups) > 1:
-                        sub = [groups[k] for k in sorted(groups)]
-                        cells[i : i + 1] = sub
-                        changed = True
-                        i += len(sub)
-                        continue
-                i += 1
-    return cells
-
-
-def _leafkey_weighted(wrows, order):
-    inv = {v: i for i, v in enumerate(order)}
-    key = []
-    for v in order:
-        row = wrows[v]
-        new = [0] * len(order)
-        for u, i in inv.items():
-            new[i] = row[u]
-        key.append(tuple(new))
-    return tuple(key)
-
-
-def _canon_weighted(n, wrows, cells=None):
-    if n == 0:
-        return b"M\x00|", (), ()
-    init = [(1 << n) - 1] if cells is None else list(cells)
-    sizes = bytes(c.bit_count() for c in init)
-    refined = _refine_weighted(wrows, init)
-
-    pools = [tuple(bits(c)) for c in refined]
-    prod = 1
-    for p in pools:
-        prod *= _FACT[len(p)]
-    if prod > _FACT[9]:
-        raise LimitExceeded(f"weighted canonical form: symmetry too large at n={n}")
-    best_key = None
-    best_orders = None
-    for choice in itertools.product(*(itertools.permutations(p) for p in pools)):
-        order = [v for grp in choice for v in grp]
-        key = _leafkey_weighted(wrows, order)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_orders = [order]
-        elif key == best_key and len(best_orders) < 2000:
-            best_orders.append(order)
-    gens = []
-    o0 = best_orders[0]
-    for other in best_orders[1:]:
-        p = [0] * n
-        for a, b in zip(o0, other):
-            p[a] = b
-        gens.append(tuple(p))
-    key, order = best_key, o0
-    payload = bytes(v for row in key for v in row)
-    form = b"M" + bytes([n]) + sizes + b"|" + payload
+    head = b"S" if width == 1 else b"M%d," % width
+    form = head + bytes([n]) + sizes + b"|" + payload
     return form, tuple(order), _orbits_from_gens(n, gens)
 
 
@@ -321,35 +268,29 @@ def _validate_colors(n, colors):
     return cells
 
 
-def _weight_rows(g: Multigraph):
-    w = [[0] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
-        w[u][v] += 1
-        w[v][u] += 1
-    return tuple(tuple(r) for r in w)
+def _canon(g: Multigraph, colors):
+    if g.n > CANON_MAX_N:
+        raise LimitExceeded(f"canonical form is exact only up to n={CANON_MAX_N}")
+    cells = _validate_colors(g.n, colors)
+    if g.is_simple:
+        return canon_simple_rows(g.n, g.rows, cells)
+    mult = [(pair, len(tuple(run))) for pair, run in itertools.groupby(g.edges)]
+    width = max(k for _, k in mult)
+    rows = [0] * g.n
+    for (u, v), k in mult:
+        rows[u] |= ((1 << k) - 1) << (width * v)
+        rows[v] |= ((1 << k) - 1) << (width * u)
+    return canon_simple_rows(g.n, rows, cells, width=width)
 
 
 def canonical_form(g: Multigraph, colors=None) -> bytes:
     """Canonical byte string; equal forms exactly for isomorphic graphs."""
-    if g.n > CANON_MAX_N:
-        raise LimitExceeded(f"canonical form is exact only up to n={CANON_MAX_N}")
-    cells = _validate_colors(g.n, colors)
-    if g.is_simple:
-        form, _, _ = canon_simple_rows(g.n, g.rows, cells)
-    else:
-        form, _, _ = _canon_weighted(g.n, _weight_rows(g), cells)
-    return form
+    return _canon(g, colors)[0]
 
 
 def canonical_labeling(g: Multigraph, colors=None):
     """(perm, form) with perm[old] = canonical position of old."""
-    if g.n > CANON_MAX_N:
-        raise LimitExceeded(f"canonical form is exact only up to n={CANON_MAX_N}")
-    cells = _validate_colors(g.n, colors)
-    if g.is_simple:
-        form, order, _ = canon_simple_rows(g.n, g.rows, cells)
-    else:
-        form, order, _ = _canon_weighted(g.n, _weight_rows(g), cells)
+    form, order, _ = _canon(g, colors)
     perm = [0] * g.n
     for i, v in enumerate(order):
         perm[v] = i
@@ -362,12 +303,7 @@ def automorphism_orbits(g: Multigraph, colors=None):
     Sound (vertices sharing a representative are genuinely equivalent) but
     callers needing completeness should fall back to form comparisons.
     """
-    cells = _validate_colors(g.n, colors)
-    if g.is_simple:
-        _, _, orbits = canon_simple_rows(g.n, g.rows, cells)
-    else:
-        _, _, orbits = _canon_weighted(g.n, _weight_rows(g), cells)
-    return orbits
+    return _canon(g, colors)[2]
 
 
 def are_isomorphic(g: Multigraph, h: Multigraph) -> bool:

@@ -45,10 +45,7 @@ def _read_graph(args):
 
 
 def _add_graph_input(p, multigraph=False):
-    p.add_argument("--g6", help="graph6 line")
-    p.add_argument(
-        "--stdin", action="store_true", help="read a graph6 line from stdin (default)"
-    )
+    p.add_argument("--g6", help="graph6 line (default: first line on stdin)")
     if multigraph:
         p.add_argument(
             "--adj-json",

@@ -770,4 +770,4 @@ def _induced_with_edge_map(h: Multigraph, mask: int):
         if mask >> u & 1 and mask >> v & 1:
             pairs.append((pos[u], pos[v]))
             eids.append(eid)
-    return type(h).from_pairs_unchecked(len(verts), pairs), tuple(eids)
+    return type(h).from_pairs_unchecked(len(verts), tuple(pairs)), tuple(eids)

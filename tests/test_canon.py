@@ -33,17 +33,36 @@ def random_simple(rng, n, p=0.5):
     return SimpleGraph(n, pairs)
 
 
+def random_multi(rng, n, p=0.5):
+    """Multiplicities 1 to 3 on a random support."""
+    pairs = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                pairs.extend([(u, v)] * rng.randint(1, 3))
+    return Multigraph(n, pairs)
+
+
+def random_graph(rng, n, p=0.5):
+    return random_multi(rng, n, p) if rng.random() < 0.5 else random_simple(rng, n, p)
+
+
+def _mapped_edges(g, perm):
+    return sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges)
+
+
 def brute_isomorphic(g, h):
+    """Some permutation maps g's edge multiset onto h's."""
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
     target = list(h.edges)
-    for perm in itertools.permutations(range(g.n)):
-        mapped = sorted(
-            (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges
-        )
-        if mapped == target:
-            return True
-    return False
+    return any(
+        _mapped_edges(g, perm) == target for perm in itertools.permutations(range(g.n))
+    )
+
+
+def doubled_star(leaves):
+    return Multigraph(leaves + 1, [(0, v) for v in range(1, leaves + 1)] * 2)
 
 
 def test_relabel_invariance_exhaustive_small():
@@ -71,7 +90,7 @@ def test_canonical_labeling_realizes_form(rng):
     """relabel by the canonical labeling lands every isomorph on one
     label-identical representative."""
     for _ in range(100):
-        g = random_simple(rng, rng.randint(1, 8))
+        g = random_graph(rng, rng.randint(1, 8))
         perm, form = canonical_labeling(g)
         canon_g = relabel(g, perm)
         assert canonical_form(canon_g) == form
@@ -86,8 +105,16 @@ def test_canonical_labeling_realizes_form(rng):
 def test_iso_decision_against_brute(rng):
     for _ in range(150):
         n = rng.randint(1, 6)
-        g = random_simple(rng, n, 0.5)
-        h = random_simple(rng, n, 0.5)
+        g = random_graph(rng, n)
+        h = random_graph(rng, n)
+        assert are_isomorphic(g, h) == brute_isomorphic(g, h)
+    # same support and edge count, multiplicities placed differently
+    for _ in range(100):
+        g = random_multi(rng, rng.randint(2, 6), 0.6)
+        pairs = list(g.support_pairs)
+        rng.shuffle(pairs)
+        extra = g.edge_count - len(pairs)
+        h = Multigraph(g.n, pairs + [rng.choice(pairs) for _ in range(extra)])
         assert are_isomorphic(g, h) == brute_isomorphic(g, h)
 
 
@@ -112,13 +139,13 @@ def test_orbits_never_coarser_than_truth(rng):
     """Vertices reported in one orbit must really be swappable by an
     automorphism (brute force); refinements are allowed, mergers are not."""
     for _ in range(60):
-        g = random_simple(rng, rng.randint(2, 6), rng.choice([0.3, 0.6]))
+        g = random_graph(rng, rng.randint(2, 6), rng.choice([0.3, 0.6]))
         orbits = automorphism_orbits(g)
         assert len(orbits) == g.n
         autos = [
             perm
             for perm in itertools.permutations(range(g.n))
-            if all(g.has_edge(perm[u], perm[v]) for u, v in g.edges)
+            if _mapped_edges(g, perm) == list(g.edges)
         ]
         for u in range(g.n):
             for v in range(u + 1, g.n):
@@ -154,6 +181,51 @@ def test_multigraph_forms_track_multiplicity():
     path_21 = Multigraph(3, [(0, 1), (0, 1), (1, 2)])
     assert are_isomorphic(path_12, path_21)
     assert not are_isomorphic(path_12, Multigraph(3, [(0, 1), (1, 2), (0, 2)]))
+
+
+def test_multigraph_forms_exhaustive_small():
+    """Every multigraph on 4 vertices with multiplicities up to 2: forms
+    split them exactly into the brute-force isomorphism classes."""
+    pairs_all = list(itertools.combinations(range(4), 2))
+    classes = {}
+    for mults in itertools.product(range(3), repeat=len(pairs_all)):
+        g = Multigraph(4, [p for p, k in zip(pairs_all, mults) for _ in range(k)])
+        brute = min(tuple(_mapped_edges(g, perm)) for perm in itertools.permutations(range(4)))
+        classes.setdefault(canonical_form(g), set()).add(brute)
+    assert all(len(b) == 1 for b in classes.values())
+    assert len({next(iter(b)) for b in classes.values()}) == len(classes)
+
+
+def test_doubled_star_past_brute_force(rng):
+    """Ten leaves give 10! symmetric orderings; the form still comes back,
+    uncolored and with the center in a color class of its own."""
+    g = doubled_star(10)
+    perm = list(range(11))
+    rng.shuffle(perm)
+    h = relabel(g, perm)
+    assert canonical_form(h) == canonical_form(g)
+    center, leaves = 1 << 0, ((1 << 11) - 1) & ~1
+    moved = 1 << perm[0]
+    assert canonical_form(h, colors=[moved, ((1 << 11) - 1) & ~moved]) == canonical_form(
+        g, colors=[center, leaves]
+    )
+    assert canonical_form(g, colors=[center, leaves]) != canonical_form(
+        g, colors=[leaves, center]
+    )
+
+
+def test_multigraph_and_simple_forms_never_collide(rng):
+    """The collapsibility memo keys simple graphs and multigraphs alike by
+    their forms, so no form may serve both."""
+    simple, multi = set(), set()
+    for _ in range(300):
+        g = random_multi(rng, rng.randint(1, 6))
+        (multi if not g.is_simple else simple).add(canonical_form(g))
+        simple.add(canonical_form(random_simple(rng, rng.randint(1, 6))))
+    for n in range(1, 6):
+        simple.add(canonical_form(star_graph(n)))
+        multi.add(canonical_form(doubled_star(n)))
+    assert multi and not simple & multi
 
 
 def test_multigraph_relabel_invariance(rng):

@@ -563,6 +563,13 @@ def test_lift_rejects_non_collapsible_sets():
         lift_dct(h, fmask, trail)
 
 
+def test_lift_through_contraction_beyond_canon_order():
+    # the 17-vertex contracted set is past the canonical-form cap, so the
+    # collapsibility memo keys its subgraph by the labeled graph itself
+    with pytest.raises(NotCollapsibleError):
+        lift_dct(cycle_graph(18), (1 << 17) - 1, Trail((0, 1, 0), (0, 1)))
+
+
 def test_lift_requires_trail_through_contraction():
     h = SimpleGraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
     fmask = mask_of([0, 1])
