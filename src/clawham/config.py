@@ -16,7 +16,6 @@ class SearchLimits:
     trail_cycle_budget: int = 50000  # simple-cycle prepass before the full sweep
     collapsible_max_edges: int = 18
     collapsible_leaf_budget: int = 4_000_000
-    enumerate_max_n: int = 12
 
     def with_(self, **kw) -> "SearchLimits":
         return replace(self, **kw)

@@ -9,8 +9,9 @@ makes every class appear from exactly one parent class, so a per-parent
 dedup suffices.  Hereditary constraints (triangle-free, claw-free, edge
 budget) prune during generation; everything else filters afterwards.
 
-A deliberately dumb oracle (extend everything, dedup globally by
-canonical form) ships alongside for cross-checking counts in tests.
+The slow oracles that cross-check these generators (extend everything and
+dedup globally by canonical form; sweep every marked-edge multiplicity
+vector) live with the tests, in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ import itertools
 from dataclasses import dataclass, fields
 
 from .canon import canon_simple_rows, canonical_form
-from .config import DEFAULT_LIMITS, SearchLimits
 from .graphs import (
     GraphError,
     LimitExceeded,
@@ -178,11 +178,11 @@ def _pool(n, triangle_free, claw_free, max_edges):
     return level
 
 
-def enumerate_graphs(spec: FamilySpec, limits: SearchLimits = DEFAULT_LIMITS):
+def enumerate_graphs(spec: FamilySpec):
     """Yield one representative per isomorphism class of the family, in a
     deterministic order (ascending n, then canonical form)."""
     for n in spec.orders():
-        if not 1 <= n <= min(ENUMERATE_MAX_N, limits.enumerate_max_n):
+        if not 1 <= n <= ENUMERATE_MAX_N:
             raise LimitExceeded(f"enumeration order {n} outside the supported range")
     for n in spec.orders():
         for rows, _form in _pool(n, spec.triangle_free, spec.claw_free, spec.max_edges):
@@ -201,29 +201,8 @@ def enumerate_graphs(spec: FamilySpec, limits: SearchLimits = DEFAULT_LIMITS):
             yield g
 
 
-def count_graphs(spec: FamilySpec, limits: SearchLimits = DEFAULT_LIMITS) -> int:
-    return sum(1 for _ in enumerate_graphs(spec, limits))
-
-
-def enumerate_by_dedup(n: int):
-    """Independent oracle: grow every labeled extension level by level and
-    dedup globally by canonical form.  No acceptance rule, no pruning."""
-    if not 1 <= n <= 8:
-        raise LimitExceeded("the dedup oracle is meant for n <= 8")
-    level = {canon_simple_rows(1, (0,))[0]: (0,)}
-    for k in range(2, n + 1):
-        nxt = {}
-        for rows in level.values():
-            for smask in range(1 << (k - 1)):
-                crows = tuple(
-                    (rows[i] | (1 << (k - 1))) if smask >> i & 1 else rows[i]
-                    for i in range(k - 1)
-                ) + (smask,)
-                form, _, _ = canon_simple_rows(k, crows)
-                if form not in nxt:
-                    nxt[form] = crows
-        level = nxt
-    return [SimpleGraph.from_rows(rows) for _, rows in sorted(level.items())]
+def count_graphs(spec: FamilySpec) -> int:
+    return sum(1 for _ in enumerate_graphs(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -342,38 +321,3 @@ def marked_edge_instances(max_n: int, max_multiplicity: int = 2):
                     continue
                 seen.add(key)
                 yield MarkedEdgeInstance(g, 0, 1)
-
-
-def marked_edge_instances_brute(n: int, max_multiplicity: int = 2) -> list:
-    """Oracle for small n: sweep every multiplicity vector directly."""
-    if n > 5:
-        raise LimitExceeded("the brute marked-edge oracle is meant for n <= 5")
-    vpairs = list(itertools.combinations(range(n), 2))
-    out = []
-    seen = set()
-    for mvec in itertools.product(range(max_multiplicity + 1), repeat=len(vpairs)):
-        pairs = []
-        for (u, v), mu in zip(vpairs, mvec):
-            pairs += [(u, v)] * mu
-        g = Multigraph(n, pairs)
-        for x in range(n):
-            for y in range(x + 1, n):
-                if not g.has_edge(x, y):
-                    continue
-                if g.degree(x) < 2 or g.degree(y) < 2:
-                    continue
-                others = [v for v in range(n) if v not in (x, y)]
-                inside = sum(g.multiplicity(u, v) for u, v in itertools.combinations(others, 2))
-                if inside > 2:
-                    continue
-                if not is_connected(g):
-                    continue
-                if not is_essentially_2_edge_connected(g):
-                    continue
-                xym = (1 << x) | (1 << y)
-                key = canonical_form(g, colors=[xym, ((1 << n) - 1) & ~xym])
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(MarkedEdgeInstance(g, x, y))
-    return out

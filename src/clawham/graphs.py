@@ -407,14 +407,6 @@ def relabel(g: Multigraph, perm) -> Multigraph:
     return type(g)(g.n, pairs)
 
 
-def symmetric_difference(g: Multigraph, a: int, b: int) -> int:
-    """Symmetric difference of two edge sets (masks over g's edge ids)."""
-    limit = 1 << g.edge_count
-    if a >= limit or b >= limit or a < 0 or b < 0:
-        raise GraphError("edge set outside the carrier graph's edge range")
-    return a ^ b
-
-
 def edge_mask_of(g: Multigraph, pairs) -> int:
     """Edge mask covering one edge id per requested (u, v) pair."""
     mask = 0

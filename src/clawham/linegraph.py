@@ -6,7 +6,9 @@ a backtracking search for a partition of the edge set into cliques such
 that every vertex lies in at most two parts and no three parts pairwise
 intersect; parts become root vertices, single-part vertices grow pendant
 root vertices, and the root is triangle-free by the non-crossing
-constraint.  The reconstruction is verified edge by edge before returning.
+constraint.  Every partition found is verified edge by edge; the root
+comes from the first one, and canonical forms are computed only to count
+distinct roots.
 """
 from __future__ import annotations
 
@@ -239,11 +241,12 @@ def _partition_search(g: SimpleGraph, collect_all: bool):
 def root_graph(g: SimpleGraph, count_roots: bool = False) -> RootResult:
     """Invert a connected closed claw-free graph to its triangle-free root.
 
-    The root is unique up to isomorphism for every such graph on three or
-    more vertices; `count_roots` verifies that by exhausting the partition
-    search and counting distinct roots.  Raises NotALineGraphError with a
-    claw certificate when no root exists, NotClosedError when the closure
-    would add edges.
+    The root is built from the first partition the search finds; it is
+    unique up to isomorphism for every such graph on three or more
+    vertices, and `count_roots` verifies that by exhausting the partition
+    search and counting distinct canonical forms.  Raises
+    NotALineGraphError with a claw certificate when no root exists,
+    NotClosedError when the closure would add edges.
     """
     if not is_connected(g):
         raise GraphError("root reconstruction expects a connected graph")
@@ -261,25 +264,13 @@ def root_graph(g: SimpleGraph, count_roots: bool = False) -> RootResult:
     if not found:
         raise NotALineGraphError("edge-clique partition search exhausted")
 
-    best = None
-    forms = set()
+    roots = []
     for cliques in found:
         root, v2e = _root_from_partition(g, cliques)
         if not is_triangle_free(root):
             raise GraphError("partition produced a root triangle")
         _check_line_correspondence(g, root, v2e)
-        key = canonical_form(root)
-        forms.add(key)
-        if best is None or key < best[0]:
-            best = (key, root, v2e, cliques)
-    _, root, v2e, cliques = best
-    part = validate_krausz(g, cliques)
-    return RootResult(root, v2e, part, len(forms) if count_roots else None)
-
-
-def verify_line_iso(h: Multigraph, g: SimpleGraph) -> bool:
-    """Does L(h) realize g up to isomorphism?"""
-    from .canon import are_isomorphic
-
-    lg, _ = line_graph(h)
-    return are_isomorphic(lg, g)
+        roots.append((root, v2e))
+    root, v2e = roots[0]
+    count = len({canonical_form(r) for r, _ in roots}) if count_roots else None
+    return RootResult(root, v2e, validate_krausz(g, found[0]), count)

@@ -5,9 +5,16 @@ every member, and reports a machine-readable result: instance count,
 counterexamples (graph6 plus enough marks to replay), wall time, verdict.
 Counterexample lists are order-normalized; apart from the elapsed field,
 reports are deterministic for a fixed configuration.
+
+One runner, `_sweep`, times, counts, judges and registers every check.
+A check's body walks its family and states its claim on each member inside
+`with run.instance(g):`, which turns a LimitExceeded into a cap note and
+any other GraphError into a counterexample, so no member ends the sweep.
 """
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import time
 from dataclasses import dataclass, field
@@ -74,18 +81,6 @@ class CheckResult:
         return out
 
 
-def _finish(name, family, instances, cex, t0, params, cap_notes=None):
-    cex = sorted(cex, key=lambda d: json.dumps(d, sort_keys=True))
-    if cap_notes:
-        verdict = "cap-exceeded"
-        params = dict(params, cap_notes=sorted(cap_notes))
-    else:
-        verdict = "pass" if not cex else "fail"
-    return CheckResult(
-        name, family, instances, cex, time.perf_counter() - t0, verdict, params
-    )
-
-
 def _g6(g: Multigraph) -> str:
     if g.is_simple and isinstance(g, SimpleGraph):
         return write_graph6(g)
@@ -94,6 +89,102 @@ def _g6(g: Multigraph) -> str:
 
 def _multi_json(g: Multigraph) -> dict:
     return json.loads(dump_multigraph_json(g))
+
+
+# ---------------------------------------------------------------------------
+# the runner
+
+# name -> (check, names of the keyword parameters it accepts besides limits)
+CHECKS: dict = {}
+
+
+class _Run:
+    """What a check's body records while it walks its family."""
+
+    def __init__(self, params: dict):
+        self.params = params
+        self.instances = 0
+        self.counterexamples = []
+        self.cap_notes = []
+        self._g = None
+        self._counted = True
+
+    def instance(self, g: Multigraph, count: bool = True) -> "_Run":
+        """Guard one member for a `with` block.  It is counted now, or with
+        count=False once the body calls count(); a member that raises is
+        counted either way."""
+        self._g = g
+        self._counted = False
+        if count:
+            self.count()
+        return self
+
+    def count(self) -> None:
+        if not self._counted:
+            self._counted = True
+            self.instances += 1
+
+    def __enter__(self) -> "_Run":
+        return self
+
+    def __exit__(self, kind, err, tb) -> bool:
+        if kind is None or not issubclass(kind, GraphError):
+            return False
+        self.count()
+        if issubclass(kind, LimitExceeded):
+            self.cap(err)
+        else:
+            self.fail(f"{kind.__name__}: {err}")
+        return True
+
+    def fail(self, reason: str, **extra) -> None:
+        self.counterexamples.append({"graph6": _g6(self._g), **extra, "reason": reason})
+
+    def cap(self, err: LimitExceeded, where: str = "") -> None:
+        self.cap_notes.append(f"{_g6(self._g)}{where}: {err}")
+
+
+def _sweep(name: str, family: str):
+    """Register a check whose body takes a _Run first.  The public check
+    keeps the body's other parameters; family is formatted with their
+    values, and every one of them but limits goes into the report."""
+
+    def register(body):
+        sig = inspect.signature(body)
+        public = sig.replace(
+            parameters=list(sig.parameters.values())[1:], return_annotation="CheckResult"
+        )
+        accepted = tuple(p for p in public.parameters if p != "limits")
+
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            t0 = time.perf_counter()
+            bound = public.bind(*args, **kwargs)
+            bound.apply_defaults()
+            run = _Run({p: bound.arguments[p] for p in accepted})
+            body(run, *bound.args, **bound.kwargs)
+            cex = sorted(run.counterexamples, key=lambda d: json.dumps(d, sort_keys=True))
+            params, verdict = run.params, "fail" if cex else "pass"
+            if run.cap_notes:
+                params = dict(params, cap_notes=sorted(run.cap_notes))
+                verdict = "cap-exceeded"
+            family_text = family.format(**bound.arguments)
+            elapsed = time.perf_counter() - t0
+            return CheckResult(name, family_text, run.instances, cex, elapsed, verdict, params)
+
+        check.__signature__ = public
+        CHECKS[name] = (check, accepted)
+        return check
+
+    return register
+
+
+def _claw_free_family(max_n: int) -> FamilySpec:
+    return FamilySpec(n_min=3, n_max=max_n, two_connected=True, claw_free=True)
+
+
+def _wide(limits: SearchLimits) -> SearchLimits:
+    return limits.with_(collapsible_max_edges=max(limits.collapsible_max_edges, 28))
 
 
 # ---------------------------------------------------------------------------
@@ -116,483 +207,292 @@ def gadget_graph() -> SimpleGraph:
     )
 
 
-def check_gadget_fixture(limits: SearchLimits = DEFAULT_LIMITS) -> CheckResult:
+@_sweep("gadget", "the 8-vertex five-cycle gadget")
+def check_gadget_fixture(run, limits: SearchLimits = DEFAULT_LIMITS):
     """Structural facts and the frozen trail status of the gadget."""
-    t0 = time.perf_counter()
+    run.params.update(sct_expected=GADGET_SCT_EXPECTED, dct_expected=GADGET_DCT_EXPECTED)
     g = gadget_graph()
-    cex = []
-    if g.edge_count != 11:
-        cex.append({"graph6": _g6(g), "reason": f"edge count {g.edge_count} != 11"})
-    if not is_triangle_free(g):
-        cex.append({"graph6": _g6(g), "reason": "gadget is not triangle-free"})
-    sct = has_sct(g, limits) is not None
-    dct = has_dct(g, limits) is not None
-    if sct != GADGET_SCT_EXPECTED:
-        cex.append({"graph6": _g6(g), "reason": f"SCT status {sct} != frozen {GADGET_SCT_EXPECTED}"})
-    if dct != GADGET_DCT_EXPECTED:
-        cex.append({"graph6": _g6(g), "reason": f"DCT status {dct} != frozen {GADGET_DCT_EXPECTED}"})
-    return _finish(
-        "gadget",
-        "the 8-vertex five-cycle gadget",
-        1,
-        cex,
-        t0,
-        {"sct_expected": GADGET_SCT_EXPECTED, "dct_expected": GADGET_DCT_EXPECTED},
-    )
+    with run.instance(g):
+        if g.edge_count != 11:
+            run.fail(f"edge count {g.edge_count} != 11")
+        if not is_triangle_free(g):
+            run.fail("gadget is not triangle-free")
+        sct = has_sct(g, limits) is not None
+        dct = has_dct(g, limits) is not None
+        if sct != GADGET_SCT_EXPECTED:
+            run.fail(f"SCT status {sct} != frozen {GADGET_SCT_EXPECTED}")
+        if dct != GADGET_DCT_EXPECTED:
+            run.fail(f"DCT status {dct} != frozen {GADGET_DCT_EXPECTED}")
 
 
 # ---------------------------------------------------------------------------
 # sweeps
 
 
-def check_five_cycle_attachment(limits: SearchLimits = DEFAULT_LIMITS) -> CheckResult:
+@_sweep("c5-attachment", "5-cycle plus two 2-attached vertices, triangle-free, up to symmetry")
+def check_five_cycle_attachment(run, limits: SearchLimits = DEFAULT_LIMITS):
     """Every triangle-free 7-vertex graph made of a 5-cycle plus two
     attachers with two cycle neighbors each has a spanning closed trail
     through all four attachment edges; with the attacher edge present the
     graph is additionally collapsible."""
-    t0 = time.perf_counter()
-    cex = []
-    insts = attachment_instances()
-    for inst in insts:
+    for inst in attachment_instances():
         g = inst.graph
-        trail = closed_trail_exists(
-            g, mode="spanning", required_edges=inst.attachment_edges, limits=limits
-        )
-        if trail is None:
-            cex.append({"graph6": _g6(g), "reason": "no spanning trail through attachments"})
-            continue
-        validate_closed_trail(
-            g, trail, mode="spanning", required_edges=inst.attachment_edges
-        )
-        if inst.has_attacher_edge and not is_collapsible(g, limits):
-            cex.append({"graph6": _g6(g), "reason": "attacher-edge instance not collapsible"})
-    return _finish(
-        "c5-attachment",
-        "5-cycle plus two 2-attached vertices, triangle-free, up to symmetry",
-        len(insts),
-        cex,
-        t0,
-        {},
-    )
+        with run.instance(g):
+            trail = closed_trail_exists(
+                g, mode="spanning", required_edges=inst.attachment_edges, limits=limits
+            )
+            if trail is None:
+                run.fail("no spanning trail through attachments")
+                continue
+            validate_closed_trail(
+                g, trail, mode="spanning", required_edges=inst.attachment_edges
+            )
+            if inst.has_attacher_edge and not is_collapsible(g, limits):
+                run.fail("attacher-edge instance not collapsible")
 
 
+@_sweep(
+    "marked-edge-dct",
+    "essentially 2-edge-connected multigraphs, marked edge, "
+    "at most 2 edges off the mark",
+)
 def check_marked_edge_dct(
-    max_n: int = 8,
-    max_multiplicity: int = 2,
-    limits: SearchLimits = DEFAULT_LIMITS,
-) -> CheckResult:
+    run, max_n: int = 8, max_multiplicity: int = 2, limits: SearchLimits = DEFAULT_LIMITS
+):
     """Essentially 2-edge-connected multigraphs with a marked edge xy,
     d(x), d(y) >= 2 and at most two edges avoiding {x, y} always admit a
     dominating closed trail through x and y."""
-    t0 = time.perf_counter()
-    cex = []
-    count = 0
     for inst in marked_edge_instances(max_n, max_multiplicity):
-        count += 1
         g = inst.graph
         req = mask_of((inst.x, inst.y))
-        trail = closed_trail_exists(
-            g, mode="dominating", required_vertices=req, limits=limits
-        )
-        if trail is None:
-            cex.append(
-                {
-                    "graph6": _g6(g),
-                    "multigraph": _multi_json(g),
-                    "x": inst.x,
-                    "y": inst.y,
-                    "reason": "no dominating trail through the marked edge",
-                }
+        with run.instance(g):
+            trail = closed_trail_exists(
+                g, mode="dominating", required_vertices=req, limits=limits
             )
-        else:
-            validate_closed_trail(g, trail, mode="dominating", required_vertices=req)
-    return _finish(
-        "marked-edge-dct",
-        "essentially 2-edge-connected multigraphs, marked edge, "
-        "at most 2 edges off the mark",
-        count,
-        cex,
-        t0,
-        {"max_n": max_n, "max_multiplicity": max_multiplicity},
-    )
+            if trail is None:
+                run.fail(
+                    "no dominating trail through the marked edge",
+                    multigraph=_multi_json(g), x=inst.x, y=inst.y,
+                )
+            else:
+                validate_closed_trail(g, trail, mode="dominating", required_vertices=req)
 
 
-def check_line_hamilton_dct(
-    max_n: int = 7, limits: SearchLimits = DEFAULT_LIMITS
-) -> CheckResult:
+@_sweep("line-hamilton-dct", "connected simple graphs, 3 <= |E|, n <= {max_n}")
+def check_line_hamilton_dct(run, max_n: int = 7, limits: SearchLimits = DEFAULT_LIMITS):
     """The line graph of a connected H with at least three edges is
     Hamiltonian exactly when H has a dominating closed trail."""
-    t0 = time.perf_counter()
-    cex = []
-    count = 0
     spec = FamilySpec(n_min=1, n_max=max_n, connected=True)
-    for h in enumerate_graphs(spec, limits):
+    for h in enumerate_graphs(spec):
         if h.edge_count < 3:
             continue
-        count += 1
-        lg, _ = line_graph(h)
-        lham = is_hamiltonian(lg, limits) is not None
-        dct = has_dct(h, limits) is not None
-        if lham != dct:
-            cex.append(
-                {
-                    "graph6": _g6(h),
-                    "line_hamiltonian": lham,
-                    "has_dct": dct,
-                    "reason": "line-graph Hamiltonicity disagrees with DCT",
-                }
-            )
-    return _finish(
-        "line-hamilton-dct",
-        f"connected simple graphs, 3 <= |E|, n <= {max_n}",
-        count,
-        cex,
-        t0,
-        {"max_n": max_n},
-    )
+        with run.instance(h):
+            lg, _ = line_graph(h)
+            lham = is_hamiltonian(lg, limits) is not None
+            dct = has_dct(h, limits) is not None
+            if lham != dct:
+                run.fail(
+                    "line-graph Hamiltonicity disagrees with DCT", line_hamiltonian=lham, has_dct=dct
+                )
 
 
-def check_closure_invariance(
-    max_n: int = 9, limits: SearchLimits = DEFAULT_LIMITS
-) -> CheckResult:
+@_sweep("closure", "2-connected claw-free graphs, n <= {max_n}")
+def check_closure_invariance(run, max_n: int = 9, limits: SearchLimits = DEFAULT_LIMITS):
     """The neighborhood closure preserves Hamiltonicity on 2-connected
     claw-free graphs, and every closed graph has a triangle-free simple
     root."""
-    t0 = time.perf_counter()
-    cex = []
-    count = 0
-    spec = FamilySpec(n_min=3, n_max=max_n, two_connected=True, claw_free=True)
-    for g in enumerate_graphs(spec, limits):
-        count += 1
-        ham_g = is_hamiltonian(g, limits) is not None
-        c = closure(g)
-        ham_c = is_hamiltonian(c, limits) is not None
-        if ham_g != ham_c:
-            cex.append(
-                {
-                    "graph6": _g6(g),
-                    "hamiltonian": ham_g,
-                    "closure_hamiltonian": ham_c,
-                    "reason": "closure changed Hamiltonicity",
-                }
-            )
-            continue
-        try:
-            res = root_graph(c)
-        except GraphError as e:
-            cex.append({"graph6": _g6(g), "reason": f"closure has no root: {e}"})
-            continue
-        if not (res.root.is_simple and is_triangle_free(res.root)):
-            cex.append({"graph6": _g6(g), "reason": "root is not triangle-free simple"})
-    return _finish(
-        "closure",
-        f"2-connected claw-free graphs, n <= {max_n}",
-        count,
-        cex,
-        t0,
-        {"max_n": max_n},
-    )
+    for g in enumerate_graphs(_claw_free_family(max_n)):
+        with run.instance(g):
+            ham_g = is_hamiltonian(g, limits) is not None
+            c = closure(g)
+            ham_c = is_hamiltonian(c, limits) is not None
+            if ham_g != ham_c:
+                run.fail(
+                    "closure changed Hamiltonicity", hamiltonian=ham_g, closure_hamiltonian=ham_c
+                )
+                continue
+            root = root_graph(c).root
+            if not (root.is_simple and is_triangle_free(root)):
+                run.fail("root is not triangle-free simple")
 
 
-def check_min_degree_hamilton(
-    max_n: int = 10, limits: SearchLimits = DEFAULT_LIMITS
-) -> CheckResult:
+@_sweep("min-degree-hamilton", "2-connected claw-free graphs with 3*delta >= n-2, n <= {max_n}")
+def check_min_degree_hamilton(run, max_n: int = 10, limits: SearchLimits = DEFAULT_LIMITS):
     """2-connected claw-free graphs with 3*delta >= n - 2 are Hamiltonian."""
-    t0 = time.perf_counter()
-    cex = []
-    count = 0
-    spec = FamilySpec(n_min=3, n_max=max_n, two_connected=True, claw_free=True)
-    for g in enumerate_graphs(spec, limits):
+    for g in enumerate_graphs(_claw_free_family(max_n)):
         if 3 * min(g.degrees) < g.n - 2:
             continue
-        count += 1
-        if is_hamiltonian(g, limits) is None:
-            cex.append({"graph6": _g6(g), "reason": "min-degree bound met but not Hamiltonian"})
-    return _finish(
-        "min-degree-hamilton",
-        f"2-connected claw-free graphs with 3*delta >= n-2, n <= {max_n}",
-        count,
-        cex,
-        t0,
-        {"max_n": max_n},
-    )
+        with run.instance(g):
+            if is_hamiltonian(g, limits) is None:
+                run.fail("min-degree bound met but not Hamiltonian")
 
 
-def check_net_condition_hamilton(
-    max_n: int = 10, limits: SearchLimits = DEFAULT_LIMITS
-) -> CheckResult:
+@_sweep(
+    "net-condition-hamilton",
+    "2-connected claw-free graphs, n <= {max_n}; "
+    "Hamiltonicity asserted under the net condition",
+)
+def check_net_condition_hamilton(run, max_n: int = 10, limits: SearchLimits = DEFAULT_LIMITS):
     """2-connected claw-free graphs whose net endvertices all have
     3*deg >= n - 2 are Hamiltonian; on the way, the full pipeline
     (graph, closure, root DCT) must agree about Hamiltonicity on every
     2-connected claw-free graph in range."""
-    t0 = time.perf_counter()
-    cex = []
-    count = 0
-    spec = FamilySpec(n_min=3, n_max=max_n, two_connected=True, claw_free=True)
-    for g in enumerate_graphs(spec, limits):
-        count += 1
-        ham_g = is_hamiltonian(g, limits) is not None
-        c = closure(g)
-        ham_c = is_hamiltonian(c, limits) is not None
-        root = root_graph(c).root
-        dct = has_dct(root, limits) is not None
-        if not (ham_g == ham_c == dct):
-            cex.append(
-                {
-                    "graph6": _g6(g),
-                    "hamiltonian": ham_g,
-                    "closure_hamiltonian": ham_c,
-                    "root_dct": dct,
-                    "reason": "pipeline disagreement",
-                }
-            )
-            continue
-        if net_condition_holds(g) and not ham_g:
-            cex.append(
-                {"graph6": _g6(g), "reason": "net condition holds but not Hamiltonian"}
-            )
-    return _finish(
-        "net-condition-hamilton",
-        f"2-connected claw-free graphs, n <= {max_n}; "
-        "Hamiltonicity asserted under the net condition",
-        count,
-        cex,
-        t0,
-        {"max_n": max_n},
-    )
+    for g in enumerate_graphs(_claw_free_family(max_n)):
+        with run.instance(g):
+            ham_g = is_hamiltonian(g, limits) is not None
+            c = closure(g)
+            ham_c = is_hamiltonian(c, limits) is not None
+            dct = has_dct(root_graph(c).root, limits) is not None
+            if not (ham_g == ham_c == dct):
+                run.fail(
+                    "pipeline disagreement",
+                    hamiltonian=ham_g,
+                    closure_hamiltonian=ham_c,
+                    root_dct=dct,
+                )
+            elif net_condition_holds(g) and not ham_g:
+                run.fail("net condition holds but not Hamiltonian")
 
 
+@_sweep(
+    "dct-or-heavy-matching", "2-connected claw-free graphs under the net condition, n <= {max_n}"
+)
 def check_dct_or_heavy_matching(
-    max_n: int = 10,
-    heavy_slack: int = 0,
-    limits: SearchLimits = DEFAULT_LIMITS,
-) -> CheckResult:
+    run, max_n: int = 10, heavy_slack: int = 0, limits: SearchLimits = DEFAULT_LIMITS
+):
     """For qualifying graphs (2-connected, claw-free, net condition), the
     triangle-free root of the closure has a dominating closed trail or a
     heavy matching of size 4.  The heaviness threshold is part of the
     report and slides with heavy_slack."""
-    t0 = time.perf_counter()
-    cex = []
-    count = 0
-    spec = FamilySpec(n_min=3, n_max=max_n, two_connected=True, claw_free=True)
-    for g in enumerate_graphs(spec, limits):
+    run.params["heaviness"] = "edge e is heavy iff 3*ed(e) >= |E| - 2 + 3*slack"
+    for g in enumerate_graphs(_claw_free_family(max_n)):
         if not net_condition_holds(g):
             continue
-        count += 1
-        root = root_graph(closure(g)).root
-        if has_dct(root, limits) is not None:
-            continue
-        if find_heavy_matching(root, 4, slack=heavy_slack) is None:
-            cex.append(
-                {
-                    "graph6": _g6(g),
-                    "root_graph6": _g6(root),
-                    "reason": "neither DCT nor heavy 4-matching in the root",
-                }
-            )
-    return _finish(
-        "dct-or-heavy-matching",
-        f"2-connected claw-free graphs under the net condition, n <= {max_n}",
-        count,
-        cex,
-        t0,
-        {
-            "max_n": max_n,
-            "heavy_slack": heavy_slack,
-            "heaviness": "edge e is heavy iff 3*ed(e) >= |E| - 2 + 3*slack",
-        },
-    )
+        with run.instance(g):
+            root = root_graph(closure(g)).root
+            if has_dct(root, limits) is not None:
+                continue
+            if find_heavy_matching(root, 4, slack=heavy_slack) is None:
+                run.fail(
+                    "neither DCT nor heavy 4-matching in the root",
+                    root_graph6=_g6(root),
+                )
 
 
-def check_matching_degree_sum(
-    max_n: int = 8, limits: SearchLimits = DEFAULT_LIMITS
-) -> CheckResult:
+@_sweep(
+    "matching-degree-sum",
+    "essentially 2-edge-connected triangle-free graphs without a DCT, n <= {max_n}",
+)
+def check_matching_degree_sum(run, max_n: int = 8, limits: SearchLimits = DEFAULT_LIMITS):
     """In an essentially 2-edge-connected triangle-free simple graph
     without a dominating closed trail, every 3-matching satisfies
     ed(e1) + ed(e2) + ed(e3) <= |E| + 1."""
-    t0 = time.perf_counter()
-    cex = []
-    count = 0
     examined = 0
     spec = FamilySpec(
         n_min=2, n_max=max_n, triangle_free=True, essentially_2_edge_connected=True
     )
-    for h in enumerate_graphs(spec, limits):
+    for h in enumerate_graphs(spec):
         examined += 1
-        if has_dct(h, limits) is not None:
-            continue
-        count += 1
-        m = h.edge_count
-        eds = [edge_degree(h, e) for e in range(m)]
-        ends = [mask_of(h.endpoints(e)) for e in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                if ends[i] & ends[j]:
-                    continue
-                for k in range(j + 1, m):
-                    if (ends[i] | ends[j]) & ends[k]:
+        with run.instance(h, count=False):
+            if has_dct(h, limits) is not None:
+                continue
+            run.count()
+            m = h.edge_count
+            eds = [edge_degree(h, e) for e in range(m)]
+            ends = [mask_of(h.endpoints(e)) for e in range(m)]
+            for i in range(m):
+                for j in range(i + 1, m):
+                    if ends[i] & ends[j]:
                         continue
-                    if eds[i] + eds[j] + eds[k] > m + 1:
-                        cex.append(
-                            {
-                                "graph6": _g6(h),
-                                "matching": [list(h.endpoints(e)) for e in (i, j, k)],
-                                "sum": eds[i] + eds[j] + eds[k],
-                                "bound": m + 1,
-                                "reason": "matching degree sum exceeds |E|+1",
-                            }
-                        )
-    return _finish(
-        "matching-degree-sum",
-        f"essentially 2-edge-connected triangle-free graphs without a DCT, n <= {max_n}",
-        count,
-        cex,
-        t0,
-        {"max_n": max_n, "graphs_examined": examined},
-    )
+                    for k in range(j + 1, m):
+                        if (ends[i] | ends[j]) & ends[k]:
+                            continue
+                        if eds[i] + eds[j] + eds[k] > m + 1:
+                            run.fail(
+                                "matching degree sum exceeds |E|+1",
+                                matching=[list(h.endpoints(e)) for e in (i, j, k)],
+                                sum=eds[i] + eds[j] + eds[k],
+                                bound=m + 1,
+                            )
+    run.params["graphs_examined"] = examined
 
 
-def check_collapsible_remainder(
-    max_n: int = 8, limits: SearchLimits = DEFAULT_LIMITS
-) -> CheckResult:
+@_sweep("collapsible-remainder", "essentially 2-edge-connected graphs, n <= {max_n}")
+def check_collapsible_remainder(run, max_n: int = 8, limits: SearchLimits = DEFAULT_LIMITS):
     """If an essentially 2-edge-connected graph contains a collapsible
     induced subgraph with at most three edges entirely outside it, the
     graph has a dominating closed trail."""
-    t0 = time.perf_counter()
-    wide = limits.with_(collapsible_max_edges=max(limits.collapsible_max_edges, 28))
-    cex = []
-    count = 0
-    cap_notes = []
+    wide = _wide(limits)
     spec = FamilySpec(n_min=1, n_max=max_n, essentially_2_edge_connected=True)
-    for h in enumerate_graphs(spec, limits):
-        count += 1
-        if has_dct(h, limits) is not None:
-            continue
-        # no DCT: any qualifying collapsible part is a counterexample
-        n = h.n
-        for smask in range(1, 1 << n):
-            sub, verts = induced_subgraph(h, smask)
-            if not is_connected(sub):
+    for h in enumerate_graphs(spec):
+        with run.instance(h):
+            if has_dct(h, limits) is not None:
                 continue
-            outside = sum(
-                1
-                for (u, v) in h.edges
-                if not smask >> u & 1 and not smask >> v & 1
-            )
-            if outside > 3:
-                continue
-            try:
-                if not is_collapsible(sub, wide):
+            # no DCT: any qualifying collapsible part is a counterexample
+            for smask in range(1, 1 << h.n):
+                sub, verts = induced_subgraph(h, smask)
+                if not is_connected(sub):
                     continue
-            except LimitExceeded as e:
-                cap_notes.append(f"{_g6(h)} subset {smask}: {e}")
-                continue
-            cex.append(
-                {
-                    "graph6": _g6(h),
-                    "collapsible_part": sorted(verts),
-                    "outside_edges": outside,
-                    "reason": "collapsible part with <= 3 outside edges but no DCT",
-                }
-            )
-            break
-    return _finish(
-        "collapsible-remainder",
-        f"essentially 2-edge-connected graphs, n <= {max_n}",
-        count,
-        cex,
-        t0,
-        {"max_n": max_n},
-        cap_notes,
-    )
+                outside = sum(
+                    1
+                    for (u, v) in h.edges
+                    if not smask >> u & 1 and not smask >> v & 1
+                )
+                if outside > 3:
+                    continue
+                try:
+                    if not is_collapsible(sub, wide):
+                        continue
+                except LimitExceeded as e:
+                    run.cap(e, f" subset {smask}")
+                    continue
+                run.fail(
+                    "collapsible part with <= 3 outside edges but no DCT",
+                    collapsible_part=sorted(verts),
+                    outside_edges=outside,
+                )
+                break
 
 
-def check_spider_net(
-    max_n: int = 9, limits: SearchLimits = DEFAULT_LIMITS
-) -> CheckResult:
+@_sweep(
+    "spider-net",
+    "2-connected claw-free graphs under the net condition whose root "
+    "contains a subdivided claw, n <= {max_n}",
+)
+def check_spider_net(run, max_n: int = 9, limits: SearchLimits = DEFAULT_LIMITS):
     """For qualifying graphs whose closure root contains a subdivided
     claw, the graph contains an induced net all of whose endvertices have
     3*deg >= n - 2 (the weak endvertex-relocation consequence)."""
-    t0 = time.perf_counter()
-    cex = []
-    count = 0
-    spec = FamilySpec(n_min=3, n_max=max_n, two_connected=True, claw_free=True)
-    for g in enumerate_graphs(spec, limits):
+    for g in enumerate_graphs(_claw_free_family(max_n)):
         if not net_condition_holds(g):
             continue
-        root = root_graph(closure(g)).root
-        if not find_subdivided_claws(root):
-            continue
-        count += 1
-        n = g.n
-        ok = any(
-            all(3 * g.degree(y) >= n - 2 for y in net.endvertices)
-            for net in find_nets(g)
-        )
-        if not ok:
-            cex.append(
-                {
-                    "graph6": _g6(g),
-                    "root_graph6": _g6(root),
-                    "reason": "root has a subdivided claw but no heavy-ended net in g",
-                }
-            )
-    return _finish(
-        "spider-net",
-        f"2-connected claw-free graphs under the net condition whose root "
-        f"contains a subdivided claw, n <= {max_n}",
-        count,
-        cex,
-        t0,
-        {"max_n": max_n},
-    )
+        with run.instance(g, count=False):
+            root = root_graph(closure(g)).root
+            if not find_subdivided_claws(root):
+                continue
+            run.count()
+            n = g.n
+            if not any(
+                all(3 * g.degree(y) >= n - 2 for y in net.endvertices)
+                for net in find_nets(g)
+            ):
+                run.fail(
+                    "root has a subdivided claw but no heavy-ended net in g",
+                    root_graph6=_g6(root),
+                )
 
 
-def check_short_cycle_collapsible(
-    max_n: int = 8, limits: SearchLimits = DEFAULT_LIMITS
-) -> CheckResult:
+@_sweep("short-cycle-collapsible", "graphs with the short-cycle degree hypothesis, n <= {max_n}")
+def check_short_cycle_collapsible(run, max_n: int = 8, limits: SearchLimits = DEFAULT_LIMITS):
     """2-connected graphs with minimum degree at least 3 in which every
     edge lies on a cycle of length at most 4 are collapsible."""
-    t0 = time.perf_counter()
-    wide = limits.with_(collapsible_max_edges=max(limits.collapsible_max_edges, 28))
-    cex = []
-    count = 0
-    cap_notes = []
-    spec = FamilySpec(n_min=1, n_max=max_n)
-    for g in enumerate_graphs(spec, limits):
+    wide = _wide(limits)
+    for g in enumerate_graphs(FamilySpec(n_min=1, n_max=max_n)):
         if not lai_hypothesis(g):
             continue
-        count += 1
-        try:
+        with run.instance(g):
             if not is_collapsible(g, wide):
-                cex.append({"graph6": _g6(g), "reason": "hypothesis holds but not collapsible"})
-        except LimitExceeded as e:
-            cap_notes.append(f"{_g6(g)}: {e}")
-    return _finish(
-        "short-cycle-collapsible",
-        f"graphs with the short-cycle degree hypothesis, n <= {max_n}",
-        count,
-        cex,
-        t0,
-        {"max_n": max_n},
-        cap_notes,
-    )
-
-
-CHECKS = {
-    "gadget": (check_gadget_fixture, ()),
-    "c5-attachment": (check_five_cycle_attachment, ()),
-    "marked-edge-dct": (check_marked_edge_dct, ("max_n", "max_multiplicity")),
-    "line-hamilton-dct": (check_line_hamilton_dct, ("max_n",)),
-    "closure": (check_closure_invariance, ("max_n",)),
-    "min-degree-hamilton": (check_min_degree_hamilton, ("max_n",)),
-    "net-condition-hamilton": (check_net_condition_hamilton, ("max_n",)),
-    "dct-or-heavy-matching": (check_dct_or_heavy_matching, ("max_n", "heavy_slack")),
-    "matching-degree-sum": (check_matching_degree_sum, ("max_n",)),
-    "collapsible-remainder": (check_collapsible_remainder, ("max_n",)),
-    "spider-net": (check_spider_net, ("max_n",)),
-    "short-cycle-collapsible": (check_short_cycle_collapsible, ("max_n",)),
-}
+                run.fail("hypothesis holds but not collapsible")
 
 
 def run_check(name: str, limits: SearchLimits = DEFAULT_LIMITS, **kwargs) -> CheckResult:
@@ -607,11 +507,7 @@ def run_check(name: str, limits: SearchLimits = DEFAULT_LIMITS, **kwargs) -> Che
 
 
 def run_all_checks(limits: SearchLimits = DEFAULT_LIMITS, **kwargs) -> list:
-    out = []
-    for name in CHECKS:
-        fn, accepted = CHECKS[name]
-        passed = {
-            k: v for k, v in kwargs.items() if k in accepted and v is not None
-        }
-        out.append(fn(limits=limits, **passed))
-    return out
+    return [
+        fn(limits=limits, **{k: v for k, v in kwargs.items() if k in accepted and v is not None})
+        for fn, accepted in CHECKS.values()
+    ]

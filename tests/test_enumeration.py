@@ -2,7 +2,7 @@
 
 Unlabeled counts for small orders are frozen from the literature-stable
 values and double-checked by an independent generate-all-and-dedup oracle
-living in the package (itself exercised here against a third, test-local
+in tests/oracles.py (itself exercised here against a third, test-local
 filter pipeline for the structured families).
 """
 import itertools
@@ -17,10 +17,8 @@ from clawham.enumeration import (
     FamilySpec,
     attachment_instances,
     count_graphs,
-    enumerate_by_dedup,
     enumerate_graphs,
     marked_edge_instances,
-    marked_edge_instances_brute,
 )
 from clawham.graphs import (
     GraphError,
@@ -30,6 +28,7 @@ from clawham.graphs import (
     is_essentially_2_edge_connected,
     is_triangle_free,
 )
+from oracles import enumerate_by_dedup, marked_edge_instances_brute
 
 # unlabeled simple graphs on n = 1..7 vertices
 ALL_GRAPH_COUNTS = [1, 2, 4, 11, 34, 156, 1044]

@@ -33,7 +33,6 @@ from clawham.graphs import (
     path_graph,
     relabel,
     star_graph,
-    symmetric_difference,
     triangle_count,
 )
 
@@ -285,11 +284,6 @@ def test_induced_subgraph_and_relabel(rng):
         assert sorted(h.degrees) == sorted(g.degrees)
         for u, v in g.edges:
             assert h.has_edge(perm[u], perm[v])
-
-
-def test_symmetric_difference_is_xor():
-    g = SimpleGraph(3, [(0, 1), (1, 2)])
-    assert symmetric_difference(g, 0b01, 0b11) == 0b10
 
 
 def test_edge_mask_of_accepts_unordered_pairs():

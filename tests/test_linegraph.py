@@ -5,6 +5,7 @@ root reconstruction must invert it up to isomorphism on every small host,
 and the Krausz validator must reject anything that is not a genuine
 edge-clique cover with the right local counts.
 """
+import hashlib
 import itertools
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from clawham.canon import are_isomorphic, canonical_form
 from clawham.clawfree import closure, is_claw_free
 from clawham.enumeration import FamilySpec, enumerate_graphs
+from clawham.graphio import write_graph6
 from clawham.graphs import (
     GraphError,
     Multigraph,
@@ -29,8 +31,8 @@ from clawham.linegraph import (
     line_graph,
     root_graph,
     validate_krausz,
-    verify_line_iso,
 )
+from oracles import verify_line_iso
 
 
 def test_line_graph_small_catalog():
@@ -176,6 +178,50 @@ def test_roots_of_closed_claw_free_graphs_exist_and_are_unique():
         assert is_triangle_free(res.root) and res.root.is_simple
         assert verify_line_iso(res.root, c)
     assert seen > 0
+
+
+# sha256 over (graph6 of the closure, root order, root edges, vertex_to_edge,
+# partition cliques) for the closure of every 2-connected claw-free graph
+# with n <= 7, in enumeration order: the labeled roots the sweeps report
+# must not move when only the way a root is chosen changes
+FROZEN_ROOTS_N7 = (170, "75899c05744c5b1f4d0ad8a41080bb09361e35729d86bf1094f8fe5a283da74e")
+
+
+def test_only_counting_canonizes_roots(monkeypatch):
+    """Without count_roots the search stops at the first partition, so
+    there is nothing to choose between: root_graph must not canonize.  The
+    labeled root is the same with or without counting, and the digest pins
+    it."""
+    closed = [
+        closure(g)
+        for g in enumerate_graphs(
+            FamilySpec(n_min=3, n_max=7, two_connected=True, claw_free=True)
+        )
+    ]
+    counted = [root_graph(c, count_roots=True) for c in closed]
+    assert all(res.root_count == 1 for res in counted)
+
+    def no_canon(*args, **kwargs):
+        raise AssertionError("canonical_form called without count_roots")
+
+    monkeypatch.setattr("clawham.linegraph.canonical_form", no_canon)
+    digest = hashlib.sha256()
+    for c, with_count in zip(closed, counted):
+        res = root_graph(c)
+        assert res.root_count is None
+        assert (res.root.n, res.root.edges, res.vertex_to_edge, res.partition) == (
+            with_count.root.n,
+            with_count.root.edges,
+            with_count.vertex_to_edge,
+            with_count.partition,
+        )
+        digest.update(
+            repr(
+                (write_graph6(c), res.root.n, res.root.edges, res.vertex_to_edge,
+                 res.partition.cliques)
+            ).encode()
+        )
+    assert (len(closed), digest.hexdigest()) == FROZEN_ROOTS_N7
 
 
 def test_line_perfect_examples():

@@ -13,7 +13,7 @@ import pytest
 from clawham.clawfree import net_condition_holds
 from clawham.cli import main
 from clawham.graphio import parse_graph6, write_graph6
-from clawham.graphs import GraphError, is_triangle_free, mask_of
+from clawham.graphs import GraphError, LimitExceeded, is_triangle_free, mask_of
 from clawham.trails import closed_trail_exists, has_dct, has_sct
 from clawham.verify import (
     CHECKS,
@@ -107,6 +107,52 @@ def test_run_check_rejects_unknown_names_and_params():
 def test_run_all_checks_covers_registry():
     results = run_all_checks(max_n=4)
     assert [r.name for r in results] == list(CHECKS)
+
+
+def test_registry_shape_is_frozen():
+    """Callers read CHECKS[name][1] to route keyword options; the names,
+    their order and each accepted tuple are part of the interface."""
+    assert [(name, accepted) for name, (_, accepted) in CHECKS.items()] == [
+        ("gadget", ()),
+        ("c5-attachment", ()),
+        ("marked-edge-dct", ("max_n", "max_multiplicity")),
+        ("line-hamilton-dct", ("max_n",)),
+        ("closure", ("max_n",)),
+        ("min-degree-hamilton", ("max_n",)),
+        ("net-condition-hamilton", ("max_n",)),
+        ("dct-or-heavy-matching", ("max_n", "heavy_slack")),
+        ("matching-degree-sum", ("max_n",)),
+        ("collapsible-remainder", ("max_n",)),
+        ("spider-net", ("max_n",)),
+        ("short-cycle-collapsible", ("max_n",)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "error, verdict", [(GraphError, "fail"), (LimitExceeded, "cap-exceeded")]
+)
+@pytest.mark.parametrize(
+    "name", ["closure", "net-condition-hamilton", "dct-or-heavy-matching", "spider-net"]
+)
+def test_root_failure_is_reported_not_raised(monkeypatch, name, error, verdict):
+    """A member whose root reconstruction raises lands in the report as a
+    counted counterexample or cap note, and the sweep runs to the end."""
+    calls = []
+
+    def broken_root(g, count_roots=False):
+        calls.append(g)
+        raise error("injected root failure")
+
+    monkeypatch.setattr("clawham.verify.root_graph", broken_root)
+    res = run_check(name, max_n=5)
+    assert res.verdict == verdict
+    assert calls and res.instances == len(calls)
+    if verdict == "fail":
+        assert len(res.counterexamples) == len(calls)
+        assert all("injected root failure" in c["reason"] for c in res.counterexamples)
+    else:
+        assert res.counterexamples == []
+        assert len(res.params["cap_notes"]) == len(calls)
 
 
 def test_counterexamples_would_replay():
