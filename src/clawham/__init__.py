@@ -6,12 +6,9 @@ and wires them into a battery of exhaustive verification sweeps exposed via
 the `clawham` command line tool.
 """
 
-from .config import DEFAULT_LIMITS, SearchLimits
 from .graphs import GraphError, LimitExceeded, Multigraph, SimpleGraph
 
 __all__ = [
-    "DEFAULT_LIMITS",
-    "SearchLimits",
     "GraphError",
     "LimitExceeded",
     "Multigraph",

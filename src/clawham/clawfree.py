@@ -10,7 +10,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import GraphError, Multigraph, SimpleGraph, bits, edge_degree, is_triangle_free
+from .graphs import (
+    GraphError,
+    Multigraph,
+    SimpleGraph,
+    _component_mask,
+    bits,
+    edge_degree,
+    is_triangle_free,
+)
 
 
 @dataclass(frozen=True)
@@ -167,18 +175,8 @@ def closure(g: SimpleGraph, rng=None) -> SimpleGraph:
         nb = rows[v]
         if nb.bit_count() < 2:
             return False
-        # connected?
-        start = nb & -nb
-        seen = start
-        while True:
-            grow = seen
-            for u in bits(seen):
-                grow |= rows[u] & nb
-            if grow == seen:
-                break
-            seen = grow
-        if seen != nb:
-            return False
+        if _component_mask(rows, (nb & -nb).bit_length() - 1, nb) != nb:
+            return False  # N(v) is not connected
         # non-complete?
         return any(nb & ~rows[u] & ~(1 << u) for u in bits(nb))
 

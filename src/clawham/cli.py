@@ -16,7 +16,6 @@ import json
 import sys
 
 from .clawfree import closure
-from .config import DEFAULT_LIMITS
 from .enumeration import FamilySpec, count_graphs, enumerate_graphs
 from .graphio import Graph6Error, load_multigraph_json, parse_graph6, write_graph6
 from .graphs import GraphError, LimitExceeded, mask_of
@@ -59,13 +58,6 @@ def _parse_vertices(text: str) -> int:
         return mask_of(int(t) for t in text.split(",") if t.strip() != "")
     except ValueError as exc:
         raise GraphError(f"bad vertex list {text!r}") from exc
-
-
-def _limits(args):
-    lim = DEFAULT_LIMITS
-    if getattr(args, "max_edges", None):
-        lim = lim.with_(collapsible_max_edges=args.max_edges)
-    return lim
 
 
 def _cmd_verify(args) -> int:
@@ -122,7 +114,7 @@ def _cmd_hamilton(args) -> int:
     if g.n < 3:
         print("non-hamiltonian")
         return EXIT_COUNTEREXAMPLE
-    cycle = is_hamiltonian(g, _limits(args))
+    cycle = is_hamiltonian(g)
     if cycle is None:
         print("non-hamiltonian")
         return EXIT_COUNTEREXAMPLE
@@ -133,9 +125,7 @@ def _cmd_hamilton(args) -> int:
 def _trail_cmd(args, mode: str) -> int:
     g = _read_graph(args)
     required = _parse_vertices(args.require_vertices) if args.require_vertices else 0
-    trail = closed_trail_exists(
-        g, mode=mode, required_vertices=required, limits=_limits(args)
-    )
+    trail = closed_trail_exists(g, mode=mode, required_vertices=required)
     if trail is None:
         print("none")
         return EXIT_COUNTEREXAMPLE
@@ -145,7 +135,7 @@ def _trail_cmd(args, mode: str) -> int:
 
 def _cmd_collapsible(args) -> int:
     g = _read_graph(args)
-    if is_collapsible(g, _limits(args)):
+    if is_collapsible(g):
         print("collapsible")
         return EXIT_PASS
     print("not collapsible")
@@ -213,9 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("collapsible", help="decide Catlin collapsibility")
     _add_graph_input(p, multigraph=True)
-    p.add_argument(
-        "--max-edges", type=int, default=None, help="raise the collapsibility edge cap"
-    )
     p.set_defaults(fn=_cmd_collapsible)
 
     p = sub.add_parser("enumerate", help="stream a graph family as graph6")

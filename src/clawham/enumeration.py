@@ -59,10 +59,19 @@ class FamilySpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "FamilySpec":
-        known = {f.name for f in fields(cls)}
-        bad = set(data) - known
+        if not isinstance(data, dict):
+            raise GraphError("family spec must be a JSON object")
+        defaults = {f.name: f.default for f in fields(cls)}
+        bad = set(data) - set(defaults)
         if bad:
             raise GraphError(f"unknown family keys: {sorted(bad)}")
+        for key, value in data.items():
+            if type(defaults[key]) is bool:
+                ok, want = type(value) is bool, "true or false"
+            else:  # an order or degree field
+                ok, want = value is None or type(value) is int, "an integer or null"
+            if not ok:
+                raise GraphError(f"family key {key!r} must be {want}, not {value!r}")
         return cls(**data)
 
     def to_json(self) -> dict:

@@ -125,7 +125,14 @@ def load_multigraph_json(source) -> Multigraph:
         adj = data["adj"]
     except (TypeError, KeyError) as exc:
         raise GraphError("multigraph JSON needs keys 'n' and 'adj'") from exc
-    if not isinstance(n, int) or len(adj) != n or any(len(row) != n for row in adj):
+    if type(n) is not int:
+        raise GraphError(f"'n' must be an integer, not {n!r}")
+    if not (
+        isinstance(adj, list)
+        and all(isinstance(row, list) and all(type(x) is int for x in row) for row in adj)
+    ):
+        raise GraphError("'adj' must be a list of lists of integers")
+    if len(adj) != n or any(len(row) != n for row in adj):
         raise GraphError(f"adjacency matrix must be {n}x{n}")
     pairs = []
     for u in range(n):

@@ -49,7 +49,7 @@ class Multigraph:
     unlabeled comparison.
     """
 
-    __slots__ = ("n", "_pairs", "_rows", "_deg", "_hash")
+    __slots__ = ("n", "_pairs", "_rows", "_deg", "_hash", "_inc")
 
     def __init__(self, n: int, edges=()):
         if not 0 <= n <= MAX_VERTICES:
@@ -74,6 +74,7 @@ class Multigraph:
         self._rows = tuple(rows)
         self._deg = tuple(deg)
         self._hash = None
+        self._inc = None
 
     @classmethod
     def from_pairs_unchecked(cls, n: int, sorted_pairs: tuple) -> "Multigraph":
@@ -91,6 +92,7 @@ class Multigraph:
         g._rows = tuple(rows)
         g._deg = tuple(deg)
         g._hash = None
+        g._inc = None
         return g
 
     @property
@@ -102,6 +104,18 @@ class Multigraph:
     def rows(self) -> tuple:
         """Adjacency bitmask per vertex (support, ignoring multiplicity)."""
         return self._rows
+
+    @property
+    def incidence(self) -> tuple:
+        """Per vertex, its (edge id, other end) pairs in ascending edge id;
+        built on first use."""
+        if self._inc is None:
+            inc = [[] for _ in range(self.n)]
+            for eid, (u, v) in enumerate(self._pairs):
+                inc[u].append((eid, v))
+                inc[v].append((eid, u))
+            self._inc = tuple(map(tuple, inc))
+        return self._inc
 
     @property
     def edge_count(self) -> int:
@@ -187,6 +201,7 @@ class SimpleGraph(Multigraph):
         g._rows = tuple(rows)
         g._deg = tuple(r.bit_count() for r in rows)
         g._hash = None
+        g._inc = None
         return g
 
 

@@ -58,13 +58,9 @@ def line_graph(h: Multigraph):
         raise GraphError("line graph of a multigraph is not supported")
     m = h.edge_count
     rows = [0] * m
-    incident = [[] for _ in range(h.n)]
-    for eid, (u, v) in enumerate(h.edges):
-        incident[u].append(eid)
-        incident[v].append(eid)
-    for eids in incident:
-        for i, a in enumerate(eids):
-            for b in eids[i + 1 :]:
+    for inc in h.incidence:
+        for i, (a, _) in enumerate(inc):
+            for b, _ in inc[i + 1 :]:
                 rows[a] |= 1 << b
                 rows[b] |= 1 << a
     return SimpleGraph.from_rows(tuple(rows)), h.edges

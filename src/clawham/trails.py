@@ -9,6 +9,10 @@ union of cycles, i.e. a cycle-space member, and conversely a connected
 even edge set carries an Euler closed trail.  The sweep walks the whole
 space in Gray-code order with incremental degree bookkeeping, after a
 budgeted simple-cycle pass that settles most positive instances early.
+
+Every cap below guards an exponential search; exceeding one raises
+LimitExceeded rather than silently approximating.  The searches read the
+caps when they run, so a test can lower one with monkeypatch.
 """
 from __future__ import annotations
 
@@ -16,17 +20,24 @@ import random
 from dataclasses import dataclass, field
 
 from .canon import CANON_MAX_N, canonical_form
-from .config import DEFAULT_LIMITS, SearchLimits
 from .graphs import (
     GraphError,
     LimitExceeded,
     Multigraph,
+    _component_mask,
     bits,
     bridges,
+    contract,
+    induced_subgraph,
     is_2_connected,
     is_connected,
-    contract,
 )
+
+HAMILTON_MAX_N = 22  # order cap of the subset dynamic program
+TRAIL_MAX_DIM = 24  # cycle-space dimension cap of the closed-trail sweep
+TRAIL_CYCLE_BUDGET = 50_000  # DFS steps of the simple-cycle pass before the sweep
+PARITY_LEAF_BUDGET = 4_000_000  # nodes of one exact parity-subgraph search
+COLLAPSIBLE_MAX_EDGES = 28  # edge cap of the collapsibility check
 
 
 class TrailError(GraphError):
@@ -112,12 +123,8 @@ def _euler_trail(g: Multigraph, emask: int, start: int) -> Trail:
     """Closed Euler trail over the even connected edge set emask."""
     if not emask:
         return Trail((start,), ())
-    inc = [[] for _ in range(g.n)]
-    for eid in bits(emask):
-        u, v = g.endpoints(eid)
-        inc[u].append((eid, v))
-        inc[v].append((eid, u))
-    used = [False] * g.edge_count
+    inc = g.incidence
+    used = [not emask >> eid & 1 for eid in range(g.edge_count)]
     ptr = [0] * g.n
     stack = [(start, None)]
     out = []
@@ -160,7 +167,6 @@ def closed_trail_exists(
     mode: str = "none",
     required_vertices: int = 0,
     required_edges: int = 0,
-    limits: SearchLimits = DEFAULT_LIMITS,
 ):
     """Find a closed trail subject to the constraints, or return None.
 
@@ -190,15 +196,13 @@ def closed_trail_exists(
     if m == 0:
         return None
 
-    hit = _cycle_prepass(g, mode, required_vertices, required_edges, full, limits)
+    hit = _cycle_prepass(g, mode, required_vertices, required_edges, full)
     if hit is not None:
         return hit
 
     dim = m - n + 1
-    if dim > limits.trail_max_dim:
-        raise LimitExceeded(
-            f"cycle space dimension {dim} exceeds the sweep cap {limits.trail_max_dim}"
-        )
+    if dim > TRAIL_MAX_DIM:
+        raise LimitExceeded(f"cycle space dimension {dim} exceeds the sweep cap {TRAIL_MAX_DIM}")
     basis = _fundamental_cycles(g)
     if not basis:
         return None
@@ -246,10 +250,7 @@ def _fundamental_cycles(g: Multigraph):
     order = [0]
     seen = 1
     tree = 0
-    inc = [[] for _ in range(n)]
-    for eid, (u, v) in enumerate(g.edges):
-        inc[u].append((eid, v))
-        inc[v].append((eid, u))
+    inc = g.incidence
     qi = 0
     while qi < len(order):
         v = order[qi]
@@ -287,32 +288,21 @@ def _edges_connected(g: Multigraph, emask: int, vmask: int) -> bool:
     """Is the subgraph spanned by emask connected on its support vmask?"""
     if not vmask:
         return False
-    inc = [0] * g.n
+    rows = [0] * g.n
     for eid in bits(emask):
         u, v = g.endpoints(eid)
-        inc[u] |= 1 << v
-        inc[v] |= 1 << u
-    start = vmask & -vmask
-    seen = start
-    frontier = start
-    while frontier:
-        grow = 0
-        for v in bits(frontier):
-            grow |= inc[v]
-        frontier = grow & ~seen
-        seen |= frontier
-    return seen == vmask
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    start = (vmask & -vmask).bit_length() - 1
+    return _component_mask(rows, start, (1 << g.n) - 1) == vmask
 
 
-def _cycle_prepass(g, mode, req_v, req_e, full, limits):
+def _cycle_prepass(g, mode, req_v, req_e, full):
     """Budgeted DFS over simple cycles (by least vertex); returns a Trail
     on the first cycle meeting all constraints, else None."""
     n = g.n
-    inc = [[] for _ in range(n)]
-    for eid, (u, v) in enumerate(g.edges):
-        inc[u].append((eid, v))
-        inc[v].append((eid, u))
-    budget = limits.trail_cycle_budget
+    inc = g.incidence
+    budget = TRAIL_CYCLE_BUDGET
 
     def dfs(s, v, vmask, emask, path_v, path_e):
         nonlocal budget
@@ -347,21 +337,21 @@ def _cycle_prepass(g, mode, req_v, req_e, full, limits):
     return None
 
 
-def has_sct(g: Multigraph, limits: SearchLimits = DEFAULT_LIMITS):
+def has_sct(g: Multigraph):
     """Spanning closed trail, or None."""
-    return closed_trail_exists(g, mode="spanning", limits=limits)
+    return closed_trail_exists(g, mode="spanning")
 
 
-def has_dct(g: Multigraph, limits: SearchLimits = DEFAULT_LIMITS):
+def has_dct(g: Multigraph):
     """Dominating closed trail, or None."""
-    return closed_trail_exists(g, mode="dominating", limits=limits)
+    return closed_trail_exists(g, mode="dominating")
 
 
 # ---------------------------------------------------------------------------
 # Hamilton cycles
 
 
-def is_hamiltonian(g: Multigraph, limits: SearchLimits = DEFAULT_LIMITS):
+def is_hamiltonian(g: Multigraph):
     """A Hamilton cycle as a vertex tuple, or None when none exists.
 
     Rotation-extension attempts run first; the subset dynamic program over
@@ -370,8 +360,8 @@ def is_hamiltonian(g: Multigraph, limits: SearchLimits = DEFAULT_LIMITS):
     n = g.n
     if n < 3:
         raise GraphError("Hamilton cycles need at least three vertices")
-    if n > limits.hamilton_max_n:
-        raise LimitExceeded(f"order {n} exceeds the Hamilton cap {limits.hamilton_max_n}")
+    if n > HAMILTON_MAX_N:
+        raise LimitExceeded(f"order {n} exceeds the Hamilton cap {HAMILTON_MAX_N}")
     if not is_connected(g):
         return None
     rows = g.rows
@@ -454,7 +444,7 @@ def _hamilton_dp(rows, n):
 _collapsible_memo: dict = {}
 
 
-def is_collapsible(h: Multigraph, limits: SearchLimits = DEFAULT_LIMITS) -> bool:
+def is_collapsible(h: Multigraph) -> bool:
     """Can h absorb any parity demand?  True iff for every even vertex set
     R there is a spanning connected subgraph whose odd-degree set is R.
     """
@@ -464,10 +454,9 @@ def is_collapsible(h: Multigraph, limits: SearchLimits = DEFAULT_LIMITS) -> bool
         raise GraphError("collapsibility is defined for connected graphs")
     if h.n == 1:
         return True
-    if h.edge_count > limits.collapsible_max_edges:
+    if h.edge_count > COLLAPSIBLE_MAX_EDGES:
         raise LimitExceeded(
-            f"{h.edge_count} edges exceed the collapsibility cap "
-            f"{limits.collapsible_max_edges}"
+            f"{h.edge_count} edges exceed the collapsibility cap {COLLAPSIBLE_MAX_EDGES}"
         )
     key = canonical_form(h) if h.n <= CANON_MAX_N else ("labeled", h)
     hit = _collapsible_memo.get(key)
@@ -484,7 +473,7 @@ def is_collapsible(h: Multigraph, limits: SearchLimits = DEFAULT_LIMITS) -> bool
         rmask = r << 1
         if rmask.bit_count() & 1:
             rmask |= 1
-        if parity_subgraph(h, rmask, limits) is None:
+        if parity_subgraph(h, rmask) is None:
             ans = False
             break
     _collapsible_memo[key] = ans
@@ -506,24 +495,17 @@ def _spanning_parity_search(h: Multigraph, rmask: int, budget: int):
         remaining_at[v] += 1
     deg = [0] * n
     counter = [budget]
+    full = (1 << n) - 1
 
     def alive(included: int, idx: int) -> bool:
         # connectivity of included + undecided, spanning all vertices
-        inc = [0] * n
+        rows = [0] * n
         for eid in range(m):
             if eid >= idx or included >> eid & 1:
                 u, v = endpoints[eid]
-                inc[u] |= 1 << v
-                inc[v] |= 1 << u
-        seen = 1
-        frontier = 1
-        while frontier:
-            grow = 0
-            for v in bits(frontier):
-                grow |= inc[v]
-            frontier = grow & ~seen
-            seen |= frontier
-        return seen == (1 << n) - 1
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        return _component_mask(rows, 0, full) == full
 
     def rec(idx: int, included: int):
         counter[0] -= 1
@@ -615,10 +597,7 @@ def _parity_heuristic(h: Multigraph, rmask: int):
 
 
 def _bfs_edge_path(h: Multigraph, a: int, b: int):
-    inc = [[] for _ in range(h.n)]
-    for eid, (u, v) in enumerate(h.edges):
-        inc[u].append((eid, v))
-        inc[v].append((eid, u))
+    inc = h.incidence
     prev = {a: None}
     queue = [a]
     qi = 0
@@ -642,9 +621,7 @@ def _bfs_edge_path(h: Multigraph, a: int, b: int):
     return mask
 
 
-def parity_subgraph(
-    h: Multigraph, rmask: int, limits: SearchLimits = DEFAULT_LIMITS
-):
+def parity_subgraph(h: Multigraph, rmask: int):
     """Spanning connected subgraph of h whose odd-degree set is exactly
     rmask, as an edge mask, or None.  rmask must have even size."""
     n = h.n
@@ -659,7 +636,7 @@ def parity_subgraph(
     got = _parity_heuristic(h, rmask)
     if got is not None:
         return got
-    return _spanning_parity_search(h, rmask, limits.collapsible_leaf_budget)
+    return _spanning_parity_search(h, rmask, PARITY_LEAF_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -693,12 +670,7 @@ def lai_hypothesis(h: Multigraph) -> bool:
 # lifting trails through a contraction
 
 
-def lift_dct(
-    h: Multigraph,
-    F,
-    trail: Trail,
-    limits: SearchLimits = DEFAULT_LIMITS,
-) -> Trail:
+def lift_dct(h: Multigraph, F, trail: Trail) -> Trail:
     """Lift a closed trail of h/F through the contraction of a collapsible
     vertex set F.
 
@@ -728,20 +700,21 @@ def lift_dct(
         for x in h.endpoints(eid):
             if fmask >> x & 1:
                 deg[x] = deg.get(x, 0) + 1
-    rmask_local = 0
-    verts = tuple(bits(fmask))
+    sub, verts = induced_subgraph(h, fmask)
     pos = {v: i for i, v in enumerate(verts)}
+    rmask_local = 0
     for x, d in deg.items():
         if d & 1:
             rmask_local |= 1 << pos[x]
 
-    sub, sub_eids = _induced_with_edge_map(h, fmask)
-    if not is_collapsible(sub, limits):
+    if not is_collapsible(sub):
         raise NotCollapsibleError("the contracted set is not collapsible")
-    wit = parity_subgraph(sub, rmask_local, limits)
+    wit = parity_subgraph(sub, rmask_local)
     if wit is None:
         raise GraphError("parity witness missing for a collapsible subgraph")
 
+    # induced_subgraph keeps h's edge order, so local edge i is sub_eids[i]
+    sub_eids = [eid for eid, (u, v) in enumerate(h.edges) if fmask >> u & 1 and fmask >> v & 1]
     emask = pre_mask
     for leid in bits(wit):
         emask |= 1 << sub_eids[leid]
@@ -759,15 +732,3 @@ def lift_dct(
     )
     return lifted
 
-
-def _induced_with_edge_map(h: Multigraph, mask: int):
-    """Induced subgraph plus the original edge id of each local edge."""
-    verts = tuple(bits(mask))
-    pos = {v: i for i, v in enumerate(verts)}
-    pairs = []
-    eids = []
-    for eid, (u, v) in enumerate(h.edges):
-        if mask >> u & 1 and mask >> v & 1:
-            pairs.append((pos[u], pos[v]))
-            eids.append(eid)
-    return type(h).from_pairs_unchecked(len(verts), tuple(pairs)), tuple(eids)

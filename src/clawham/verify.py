@@ -26,7 +26,6 @@ from .clawfree import (
     net_condition_holds,
     closure,
 )
-from .config import DEFAULT_LIMITS, SearchLimits
 from .enumeration import (
     FamilySpec,
     attachment_instances,
@@ -94,7 +93,7 @@ def _multi_json(g: Multigraph) -> dict:
 # ---------------------------------------------------------------------------
 # the runner
 
-# name -> (check, names of the keyword parameters it accepts besides limits)
+# name -> (check, names of the keyword parameters it accepts)
 CHECKS: dict = {}
 
 
@@ -147,14 +146,14 @@ class _Run:
 def _sweep(name: str, family: str):
     """Register a check whose body takes a _Run first.  The public check
     keeps the body's other parameters; family is formatted with their
-    values, and every one of them but limits goes into the report."""
+    values, and every one of them goes into the report."""
 
     def register(body):
         sig = inspect.signature(body)
         public = sig.replace(
             parameters=list(sig.parameters.values())[1:], return_annotation="CheckResult"
         )
-        accepted = tuple(p for p in public.parameters if p != "limits")
+        accepted = tuple(public.parameters)
 
         @functools.wraps(body)
         def check(*args, **kwargs) -> CheckResult:
@@ -183,10 +182,6 @@ def _claw_free_family(max_n: int) -> FamilySpec:
     return FamilySpec(n_min=3, n_max=max_n, two_connected=True, claw_free=True)
 
 
-def _wide(limits: SearchLimits) -> SearchLimits:
-    return limits.with_(collapsible_max_edges=max(limits.collapsible_max_edges, 28))
-
-
 # ---------------------------------------------------------------------------
 # fixtures
 
@@ -208,7 +203,7 @@ def gadget_graph() -> SimpleGraph:
 
 
 @_sweep("gadget", "the 8-vertex five-cycle gadget")
-def check_gadget_fixture(run, limits: SearchLimits = DEFAULT_LIMITS):
+def check_gadget_fixture(run):
     """Structural facts and the frozen trail status of the gadget."""
     run.params.update(sct_expected=GADGET_SCT_EXPECTED, dct_expected=GADGET_DCT_EXPECTED)
     g = gadget_graph()
@@ -217,8 +212,8 @@ def check_gadget_fixture(run, limits: SearchLimits = DEFAULT_LIMITS):
             run.fail(f"edge count {g.edge_count} != 11")
         if not is_triangle_free(g):
             run.fail("gadget is not triangle-free")
-        sct = has_sct(g, limits) is not None
-        dct = has_dct(g, limits) is not None
+        sct = has_sct(g) is not None
+        dct = has_dct(g) is not None
         if sct != GADGET_SCT_EXPECTED:
             run.fail(f"SCT status {sct} != frozen {GADGET_SCT_EXPECTED}")
         if dct != GADGET_DCT_EXPECTED:
@@ -230,7 +225,7 @@ def check_gadget_fixture(run, limits: SearchLimits = DEFAULT_LIMITS):
 
 
 @_sweep("c5-attachment", "5-cycle plus two 2-attached vertices, triangle-free, up to symmetry")
-def check_five_cycle_attachment(run, limits: SearchLimits = DEFAULT_LIMITS):
+def check_five_cycle_attachment(run):
     """Every triangle-free 7-vertex graph made of a 5-cycle plus two
     attachers with two cycle neighbors each has a spanning closed trail
     through all four attachment edges; with the attacher edge present the
@@ -238,16 +233,14 @@ def check_five_cycle_attachment(run, limits: SearchLimits = DEFAULT_LIMITS):
     for inst in attachment_instances():
         g = inst.graph
         with run.instance(g):
-            trail = closed_trail_exists(
-                g, mode="spanning", required_edges=inst.attachment_edges, limits=limits
-            )
+            trail = closed_trail_exists(g, mode="spanning", required_edges=inst.attachment_edges)
             if trail is None:
                 run.fail("no spanning trail through attachments")
                 continue
             validate_closed_trail(
                 g, trail, mode="spanning", required_edges=inst.attachment_edges
             )
-            if inst.has_attacher_edge and not is_collapsible(g, limits):
+            if inst.has_attacher_edge and not is_collapsible(g):
                 run.fail("attacher-edge instance not collapsible")
 
 
@@ -256,9 +249,7 @@ def check_five_cycle_attachment(run, limits: SearchLimits = DEFAULT_LIMITS):
     "essentially 2-edge-connected multigraphs, marked edge, "
     "at most 2 edges off the mark",
 )
-def check_marked_edge_dct(
-    run, max_n: int = 8, max_multiplicity: int = 2, limits: SearchLimits = DEFAULT_LIMITS
-):
+def check_marked_edge_dct(run, max_n: int = 8, max_multiplicity: int = 2):
     """Essentially 2-edge-connected multigraphs with a marked edge xy,
     d(x), d(y) >= 2 and at most two edges avoiding {x, y} always admit a
     dominating closed trail through x and y."""
@@ -266,9 +257,7 @@ def check_marked_edge_dct(
         g = inst.graph
         req = mask_of((inst.x, inst.y))
         with run.instance(g):
-            trail = closed_trail_exists(
-                g, mode="dominating", required_vertices=req, limits=limits
-            )
+            trail = closed_trail_exists(g, mode="dominating", required_vertices=req)
             if trail is None:
                 run.fail(
                     "no dominating trail through the marked edge",
@@ -279,7 +268,7 @@ def check_marked_edge_dct(
 
 
 @_sweep("line-hamilton-dct", "connected simple graphs, 3 <= |E|, n <= {max_n}")
-def check_line_hamilton_dct(run, max_n: int = 7, limits: SearchLimits = DEFAULT_LIMITS):
+def check_line_hamilton_dct(run, max_n: int = 7):
     """The line graph of a connected H with at least three edges is
     Hamiltonian exactly when H has a dominating closed trail."""
     spec = FamilySpec(n_min=1, n_max=max_n, connected=True)
@@ -288,8 +277,8 @@ def check_line_hamilton_dct(run, max_n: int = 7, limits: SearchLimits = DEFAULT_
             continue
         with run.instance(h):
             lg, _ = line_graph(h)
-            lham = is_hamiltonian(lg, limits) is not None
-            dct = has_dct(h, limits) is not None
+            lham = is_hamiltonian(lg) is not None
+            dct = has_dct(h) is not None
             if lham != dct:
                 run.fail(
                     "line-graph Hamiltonicity disagrees with DCT", line_hamiltonian=lham, has_dct=dct
@@ -297,15 +286,15 @@ def check_line_hamilton_dct(run, max_n: int = 7, limits: SearchLimits = DEFAULT_
 
 
 @_sweep("closure", "2-connected claw-free graphs, n <= {max_n}")
-def check_closure_invariance(run, max_n: int = 9, limits: SearchLimits = DEFAULT_LIMITS):
+def check_closure_invariance(run, max_n: int = 9):
     """The neighborhood closure preserves Hamiltonicity on 2-connected
     claw-free graphs, and every closed graph has a triangle-free simple
     root."""
     for g in enumerate_graphs(_claw_free_family(max_n)):
         with run.instance(g):
-            ham_g = is_hamiltonian(g, limits) is not None
+            ham_g = is_hamiltonian(g) is not None
             c = closure(g)
-            ham_c = is_hamiltonian(c, limits) is not None
+            ham_c = is_hamiltonian(c) is not None
             if ham_g != ham_c:
                 run.fail(
                     "closure changed Hamiltonicity", hamiltonian=ham_g, closure_hamiltonian=ham_c
@@ -317,13 +306,13 @@ def check_closure_invariance(run, max_n: int = 9, limits: SearchLimits = DEFAULT
 
 
 @_sweep("min-degree-hamilton", "2-connected claw-free graphs with 3*delta >= n-2, n <= {max_n}")
-def check_min_degree_hamilton(run, max_n: int = 10, limits: SearchLimits = DEFAULT_LIMITS):
+def check_min_degree_hamilton(run, max_n: int = 10):
     """2-connected claw-free graphs with 3*delta >= n - 2 are Hamiltonian."""
     for g in enumerate_graphs(_claw_free_family(max_n)):
         if 3 * min(g.degrees) < g.n - 2:
             continue
         with run.instance(g):
-            if is_hamiltonian(g, limits) is None:
+            if is_hamiltonian(g) is None:
                 run.fail("min-degree bound met but not Hamiltonian")
 
 
@@ -332,17 +321,17 @@ def check_min_degree_hamilton(run, max_n: int = 10, limits: SearchLimits = DEFAU
     "2-connected claw-free graphs, n <= {max_n}; "
     "Hamiltonicity asserted under the net condition",
 )
-def check_net_condition_hamilton(run, max_n: int = 10, limits: SearchLimits = DEFAULT_LIMITS):
+def check_net_condition_hamilton(run, max_n: int = 10):
     """2-connected claw-free graphs whose net endvertices all have
     3*deg >= n - 2 are Hamiltonian; on the way, the full pipeline
     (graph, closure, root DCT) must agree about Hamiltonicity on every
     2-connected claw-free graph in range."""
     for g in enumerate_graphs(_claw_free_family(max_n)):
         with run.instance(g):
-            ham_g = is_hamiltonian(g, limits) is not None
+            ham_g = is_hamiltonian(g) is not None
             c = closure(g)
-            ham_c = is_hamiltonian(c, limits) is not None
-            dct = has_dct(root_graph(c).root, limits) is not None
+            ham_c = is_hamiltonian(c) is not None
+            dct = has_dct(root_graph(c).root) is not None
             if not (ham_g == ham_c == dct):
                 run.fail(
                     "pipeline disagreement",
@@ -357,9 +346,7 @@ def check_net_condition_hamilton(run, max_n: int = 10, limits: SearchLimits = DE
 @_sweep(
     "dct-or-heavy-matching", "2-connected claw-free graphs under the net condition, n <= {max_n}"
 )
-def check_dct_or_heavy_matching(
-    run, max_n: int = 10, heavy_slack: int = 0, limits: SearchLimits = DEFAULT_LIMITS
-):
+def check_dct_or_heavy_matching(run, max_n: int = 10, heavy_slack: int = 0):
     """For qualifying graphs (2-connected, claw-free, net condition), the
     triangle-free root of the closure has a dominating closed trail or a
     heavy matching of size 4.  The heaviness threshold is part of the
@@ -370,7 +357,7 @@ def check_dct_or_heavy_matching(
             continue
         with run.instance(g):
             root = root_graph(closure(g)).root
-            if has_dct(root, limits) is not None:
+            if has_dct(root) is not None:
                 continue
             if find_heavy_matching(root, 4, slack=heavy_slack) is None:
                 run.fail(
@@ -383,7 +370,7 @@ def check_dct_or_heavy_matching(
     "matching-degree-sum",
     "essentially 2-edge-connected triangle-free graphs without a DCT, n <= {max_n}",
 )
-def check_matching_degree_sum(run, max_n: int = 8, limits: SearchLimits = DEFAULT_LIMITS):
+def check_matching_degree_sum(run, max_n: int = 8):
     """In an essentially 2-edge-connected triangle-free simple graph
     without a dominating closed trail, every 3-matching satisfies
     ed(e1) + ed(e2) + ed(e3) <= |E| + 1."""
@@ -394,7 +381,7 @@ def check_matching_degree_sum(run, max_n: int = 8, limits: SearchLimits = DEFAUL
     for h in enumerate_graphs(spec):
         examined += 1
         with run.instance(h, count=False):
-            if has_dct(h, limits) is not None:
+            if has_dct(h) is not None:
                 continue
             run.count()
             m = h.edge_count
@@ -418,15 +405,14 @@ def check_matching_degree_sum(run, max_n: int = 8, limits: SearchLimits = DEFAUL
 
 
 @_sweep("collapsible-remainder", "essentially 2-edge-connected graphs, n <= {max_n}")
-def check_collapsible_remainder(run, max_n: int = 8, limits: SearchLimits = DEFAULT_LIMITS):
+def check_collapsible_remainder(run, max_n: int = 8):
     """If an essentially 2-edge-connected graph contains a collapsible
     induced subgraph with at most three edges entirely outside it, the
     graph has a dominating closed trail."""
-    wide = _wide(limits)
     spec = FamilySpec(n_min=1, n_max=max_n, essentially_2_edge_connected=True)
     for h in enumerate_graphs(spec):
         with run.instance(h):
-            if has_dct(h, limits) is not None:
+            if has_dct(h) is not None:
                 continue
             # no DCT: any qualifying collapsible part is a counterexample
             for smask in range(1, 1 << h.n):
@@ -441,7 +427,7 @@ def check_collapsible_remainder(run, max_n: int = 8, limits: SearchLimits = DEFA
                 if outside > 3:
                     continue
                 try:
-                    if not is_collapsible(sub, wide):
+                    if not is_collapsible(sub):
                         continue
                 except LimitExceeded as e:
                     run.cap(e, f" subset {smask}")
@@ -459,7 +445,7 @@ def check_collapsible_remainder(run, max_n: int = 8, limits: SearchLimits = DEFA
     "2-connected claw-free graphs under the net condition whose root "
     "contains a subdivided claw, n <= {max_n}",
 )
-def check_spider_net(run, max_n: int = 9, limits: SearchLimits = DEFAULT_LIMITS):
+def check_spider_net(run, max_n: int = 9):
     """For qualifying graphs whose closure root contains a subdivided
     claw, the graph contains an induced net all of whose endvertices have
     3*deg >= n - 2 (the weak endvertex-relocation consequence)."""
@@ -483,19 +469,18 @@ def check_spider_net(run, max_n: int = 9, limits: SearchLimits = DEFAULT_LIMITS)
 
 
 @_sweep("short-cycle-collapsible", "graphs with the short-cycle degree hypothesis, n <= {max_n}")
-def check_short_cycle_collapsible(run, max_n: int = 8, limits: SearchLimits = DEFAULT_LIMITS):
+def check_short_cycle_collapsible(run, max_n: int = 8):
     """2-connected graphs with minimum degree at least 3 in which every
     edge lies on a cycle of length at most 4 are collapsible."""
-    wide = _wide(limits)
     for g in enumerate_graphs(FamilySpec(n_min=1, n_max=max_n)):
         if not lai_hypothesis(g):
             continue
         with run.instance(g):
-            if not is_collapsible(g, wide):
+            if not is_collapsible(g):
                 run.fail("hypothesis holds but not collapsible")
 
 
-def run_check(name: str, limits: SearchLimits = DEFAULT_LIMITS, **kwargs) -> CheckResult:
+def run_check(name: str, **kwargs) -> CheckResult:
     if name not in CHECKS:
         raise GraphError(f"unknown check {name!r}; known: {', '.join(sorted(CHECKS))}")
     fn, accepted = CHECKS[name]
@@ -503,11 +488,11 @@ def run_check(name: str, limits: SearchLimits = DEFAULT_LIMITS, **kwargs) -> Che
     bad = set(passed) - set(accepted)
     if bad:
         raise GraphError(f"check {name} does not accept: {sorted(bad)}")
-    return fn(limits=limits, **passed)
+    return fn(**passed)
 
 
-def run_all_checks(limits: SearchLimits = DEFAULT_LIMITS, **kwargs) -> list:
+def run_all_checks(**kwargs) -> list:
     return [
-        fn(limits=limits, **{k: v for k, v in kwargs.items() if k in accepted and v is not None})
+        fn(**{k: v for k, v in kwargs.items() if k in accepted and v is not None})
         for fn, accepted in CHECKS.values()
     ]

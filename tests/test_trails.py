@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from clawham.config import DEFAULT_LIMITS
+from clawham import trails
 from clawham.graphs import (
     GraphError,
     LimitExceeded,
@@ -290,26 +290,25 @@ def test_trail_constraints_against_oracle(rng):
             )
 
 
-def test_exact_sweep_agrees_when_prepass_disabled(rng):
-    tiny = DEFAULT_LIMITS.with_(trail_cycle_budget=0)
+def test_exact_sweep_agrees_when_prepass_disabled(rng, monkeypatch):
     for _ in range(60):
         g = random_simple(rng, rng.randint(2, 6), 0.5)
         if not is_connected(g):
             continue
         for mode in ("spanning", "dominating"):
             a = closed_trail_exists(g, mode=mode) is not None
-            b = closed_trail_exists(g, mode=mode, limits=tiny) is not None
+            with monkeypatch.context() as mp:
+                mp.setattr(trails, "TRAIL_CYCLE_BUDGET", 0)
+                b = closed_trail_exists(g, mode=mode) is not None
             assert a == b
 
 
-def test_trail_dimension_cap():
+def test_trail_dimension_cap(monkeypatch):
     g = complete_graph(6)  # cycle space dimension 10
+    monkeypatch.setattr(trails, "TRAIL_MAX_DIM", 3)
+    monkeypatch.setattr(trails, "TRAIL_CYCLE_BUDGET", 0)
     with pytest.raises(LimitExceeded):
-        closed_trail_exists(
-            g,
-            mode="spanning",
-            limits=DEFAULT_LIMITS.with_(trail_max_dim=3, trail_cycle_budget=0),
-        )
+        closed_trail_exists(g, mode="spanning")
 
 
 def test_sct_dct_classics():
@@ -356,13 +355,13 @@ def test_hamilton_classics():
     assert is_hamiltonian(K33_MINUS) is not None
 
 
-def test_hamilton_input_contract():
+def test_hamilton_input_contract(monkeypatch):
     with pytest.raises(GraphError):
         is_hamiltonian(complete_graph(2))
-    with pytest.raises(LimitExceeded):
-        is_hamiltonian(
-            cycle_graph(12), DEFAULT_LIMITS.with_(hamilton_max_n=10)
-        )
+    with monkeypatch.context() as mp:
+        mp.setattr(trails, "HAMILTON_MAX_N", 10)
+        with pytest.raises(LimitExceeded):
+            is_hamiltonian(cycle_graph(12))
     # parallel edges do not make a 2-vertex multigraph hamiltonian,
     # and do not confuse larger instances
     g = Multigraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0)])
@@ -458,11 +457,22 @@ def test_collapsible_implies_sct(rng):
     assert seen > 5
 
 
-def test_collapsible_edge_cap():
+def test_collapsible_edge_cap(monkeypatch):
+    monkeypatch.setattr(trails, "COLLAPSIBLE_MAX_EDGES", 20)
     with pytest.raises(LimitExceeded):
-        is_collapsible(
-            complete_graph(8), DEFAULT_LIMITS.with_(collapsible_max_edges=20)
-        )
+        is_collapsible(complete_graph(8))
+
+
+def test_parity_leaf_budget(monkeypatch):
+    """On K2,3 with the empty demand the T-join heuristic deletes both edges
+    at a degree-2 vertex, so the exact search runs and meets the budget.
+    parity_subgraph is called directly: is_collapsible's memo would make the
+    outcome depend on which tests ran before."""
+    g = complete_bipartite(2, 3)
+    assert trails._parity_heuristic(g, 0) is None
+    monkeypatch.setattr(trails, "PARITY_LEAF_BUDGET", 1)
+    with pytest.raises(LimitExceeded):
+        parity_subgraph(g, 0)
 
 
 def test_lai_hypothesis():

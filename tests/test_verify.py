@@ -155,6 +155,39 @@ def test_root_failure_is_reported_not_raised(monkeypatch, name, error, verdict):
         assert len(res.params["cap_notes"]) == len(calls)
 
 
+# the essentially 2-edge-connected graphs of order 8 without a DCT; none
+# exist below order 8, so no smaller sweep reaches the per-subset search
+NO_DCT_ORDER_8 = ("G??yso", "GGDPSK", "G@GSYW", "G@Q?~?")
+
+
+def test_collapsible_remainder_caps_each_subset(monkeypatch):
+    """A capped subset becomes a cap note naming its mask, and the search
+    goes on with the member's other subsets and the other members."""
+    from clawham import trails, verify
+    from clawham.graphs import induced_subgraph
+
+    members = [parse_graph6(s) for s in NO_DCT_ORDER_8]
+    monkeypatch.setattr(verify, "enumerate_graphs", lambda spec: iter(members))
+    monkeypatch.setattr(trails, "COLLAPSIBLE_MAX_EDGES", 5)
+    res = run_check("collapsible-remainder", max_n=8)
+    assert res.verdict == "cap-exceeded"
+    assert res.instances == 4 and res.counterexamples == []
+    notes = res.params["cap_notes"]
+    capped = {}
+    for note in notes:
+        head, message = note.split(": ", 1)
+        g6, word, smask = head.split(" ")
+        assert word == "subset" and message.endswith("exceed the collapsibility cap 5")
+        capped.setdefault(g6, []).append(int(smask))
+    assert sorted(capped) == sorted(NO_DCT_ORDER_8)
+    for g6, masks in capped.items():
+        h = parse_graph6(g6)
+        for smask in masks:
+            sub, _ = induced_subgraph(h, smask)
+            assert sub.edge_count > 5
+            assert sum(1 for u, v in h.edges if not (smask >> u | smask >> v) & 1) <= 3
+
+
 def test_counterexamples_would_replay():
     """Serialize instances exactly as the marked-edge sweep would and
     confirm the CLI replay path reproduces the sweep's predicate."""
@@ -216,10 +249,28 @@ def test_cli_single_instance_commands(capsys):
     assert main(["collapsible", "--g6", "Dhc"]) == 1
 
 
-def test_cli_invalid_inputs_exit_2(capsys):
+def test_cli_invalid_inputs_exit_2(tmp_path, capsys):
     assert main(["hamilton", "--g6", "not graph6"]) == 2
     assert main(["dct", "--g6", "Dhc", "--require-vertices", "zap"]) == 2
     assert main(["enumerate", "--spec", "/nonexistent.json"]) == 2
+    path = tmp_path / "input.json"
+    for graph in (
+        '{"n": 2, "adj": [[0, 1.5], [1.5, 0]]}',
+        '{"n": 2, "adj": 5}',
+        '{"n": 2, "adj": [[0, "1"], ["1", 0]]}',
+        '{"n": 2, "adj": [[0, true], [true, 0]]}',
+        '{"n": true, "adj": [[0]]}',
+    ):
+        path.write_text(graph)
+        assert main(["collapsible", "--adj-json", str(path)]) == 2, graph
+    for spec in (
+        '{"n_min": 3, "n_max": "x"}',
+        '{"n": true}',
+        '{"n": 4, "connected": 1}',
+        '["n"]',
+    ):
+        path.write_text(spec)
+        assert main(["enumerate", "--spec", str(path), "--count-only"]) == 2, spec
 
 
 def test_cli_enumerate(tmp_path, capsys):
