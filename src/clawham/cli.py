@@ -99,13 +99,11 @@ def _cmd_closure(args) -> int:
 def _cmd_root(args) -> int:
     g = _read_graph(args)
     try:
-        res = root_graph(g, count_roots=args.count_roots)
+        res = root_graph(g)
     except (NotALineGraphError, NotClosedError) as exc:
         print(f"no root: {exc}", file=sys.stderr)
         return EXIT_COUNTEREXAMPLE
     print(write_graph6(res.root))
-    if args.count_roots:
-        print(f"triangle-free roots: {res.root_count}")
     return EXIT_PASS
 
 
@@ -179,9 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("root", help="print the triangle-free root of a closed graph")
     _add_graph_input(p)
-    p.add_argument(
-        "--count-roots", action="store_true", help="also count triangle-free roots"
-    )
     p.set_defaults(fn=_cmd_root)
 
     p = sub.add_parser("hamilton", help="decide Hamiltonicity")

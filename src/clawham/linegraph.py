@@ -1,20 +1,20 @@
-"""Line graphs and their inversion through edge-clique partitions.
+"""Line graphs and their inversion through the Krausz partition.
 
 A connected graph is the line graph of a triangle-free graph exactly when
-it is claw-free and closed under the neighborhood closure.  Inversion runs
-a backtracking search for a partition of the edge set into cliques such
-that every vertex lies in at most two parts and no three parts pairwise
-intersect; parts become root vertices, single-part vertices grow pendant
-root vertices, and the root is triangle-free by the non-crossing
-constraint.  Every partition found is verified edge by edge; the root
-comes from the first one, and canonical forms are computed only to count
-distinct roots.
+it is claw-free and closed under the neighborhood closure (Ryjacek, JCTB
+1997).  Its edges then split uniquely into cliques, one per root vertex of
+degree two or more: the part through an edge uv is {u, v} with the common
+neighbours of u and v.  Inversion reads those parts off the edges in one
+pass, parts become root vertices, and each vertex of g lying in one part
+grows a pendant root vertex.  The partition is validated and the root is
+checked edge by edge against g.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canon import canonical_form
+# unused here, but clawbench/tracing.py wraps linegraph.canonical_form
+from .canon import canonical_form  # noqa: F401
 from .clawfree import closure, first_claw
 from .graphs import (
     GraphError,
@@ -49,7 +49,6 @@ class RootResult:
     root: SimpleGraph
     vertex_to_edge: tuple  # vertex_to_edge[v] = edge id of the root
     partition: KrauszPartition
-    root_count: int | None  # distinct roots up to isomorphism, when counted
 
 
 def line_graph(h: Multigraph):
@@ -94,30 +93,20 @@ def validate_krausz(g: SimpleGraph, cliques) -> KrauszPartition:
     return KrauszPartition(tuple(cliques), tuple(tuple(ms) for ms in member))
 
 
-def _root_from_partition(g: SimpleGraph, cliques):
-    """Build the triangle-free root whose edges are the vertices of g."""
-    t = len(cliques)
-    member = [[] for _ in range(g.n)]
-    for idx, mask in enumerate(cliques):
-        for v in bits(mask):
-            member[v].append(idx)
+def _root_from_partition(part: KrauszPartition):
+    """Build the root whose edges are the partitioned graph's vertices: each
+    part is a root vertex, and each end a vertex still lacks is a new one."""
+    nxt = len(part.cliques)
     pairs = []
-    next_pendant = t
-    for v in range(g.n):
-        ms = member[v]
-        if len(ms) == 2:
-            pairs.append((v, (ms[0], ms[1])))
-        elif len(ms) == 1:
-            pairs.append((v, (ms[0], next_pendant)))
-            next_pendant += 1
-        else:
-            raise GraphError("vertex outside every part")
-    root = SimpleGraph(next_pendant, [p for _, p in pairs])
+    for ms in part.membership:
+        ends = list(ms)
+        while len(ends) < 2:
+            ends.append(nxt)
+            nxt += 1
+        pairs.append(tuple(ends))  # ascending: pendants come after the parts
+    root = SimpleGraph(nxt, pairs)
     edge_id = {e: i for i, e in enumerate(root.edges)}
-    v2e = [0] * g.n
-    for v, p in pairs:
-        v2e[v] = edge_id[tuple(sorted(p))]
-    return root, tuple(v2e)
+    return root, tuple(edge_id[p] for p in pairs)
 
 
 def _check_line_correspondence(g: SimpleGraph, root: SimpleGraph, v2e) -> None:
@@ -130,118 +119,40 @@ def _check_line_correspondence(g: SimpleGraph, root: SimpleGraph, v2e) -> None:
                 raise GraphError("reconstructed root fails the line correspondence")
 
 
-def _partition_search(g: SimpleGraph, collect_all: bool):
-    """Backtracking over edge-clique partitions; yields clique lists.
+def _krausz_cliques(g: SimpleGraph) -> list:
+    """The Krausz parts of g, read off its edges with no search.
 
-    State: chosen cliques, per-vertex part count, covered-edge set.  The
-    branch vertex is the lowest endpoint of the first uncovered edge; the
-    candidates are the cliques through that edge whose remaining vertices
-    still have a free part slot and whose internal edges are uncovered.
-    Crossing parts (three pairwise intersecting) are rejected as they
-    appear, which is exactly the triangle-free condition on the root.
+    In L(H) with H triangle-free, the common neighbours of adjacent u, v are
+    the other edges at the end that u and v share in H, so the part through
+    uv is {u, v} with N(u) & N(v).  Edges are walked in order and each
+    uncovered one opens its part.
     """
-    n = g.n
     rows = g.rows
-    edges = g.edges
-    m = len(edges)
-    eid_of = {e: i for i, e in enumerate(edges)}
-    covered = 0
-    slots = [0] * n
+    covered = set()
     cliques = []
-    inter = []  # inter[i] = mask of clique indices meeting clique i
-    results = []
-
-    def candidate_cliques(u, v):
-        """All cliques containing edge uv made of slot-free common neighbors
-        joined by uncovered edges, largest first."""
-        if slots[u] > 1 or slots[v] > 1:
-            return []
-        base = (1 << u) | (1 << v)
-        pool = [
-            w
-            for w in bits(rows[u] & rows[v])
-            if slots[w] <= 1
-            and not covered >> eid_of[tuple(sorted((u, w)))] & 1
-            and not covered >> eid_of[tuple(sorted((v, w)))] & 1
-        ]
-        outs = []
-
-        def grow(mask, cand):
-            outs.append(mask)
-            for i, w in enumerate(cand):
-                ok = True
-                for x in bits(mask & ~base):
-                    e = (w, x) if w < x else (x, w)
-                    if not rows[w] >> x & 1 or covered >> eid_of[e] & 1:
-                        ok = False
-                        break
-                if ok:
-                    grow(mask | (1 << w), cand[i + 1 :])
-
-        grow(base, pool)
-        outs.sort(key=lambda mk: (-mk.bit_count(), mk))
-        return outs
-
-    def place(mask):
-        new_edges = 0
+    for u, v in g.edges:
+        if (u, v) in covered:
+            continue
+        mask = (1 << u) | (1 << v) | (rows[u] & rows[v])
         vs = tuple(bits(mask))
         for i, a in enumerate(vs):
             for b in vs[i + 1 :]:
-                new_edges |= 1 << eid_of[(a, b)]
-        meet = 0
-        for i, old in enumerate(cliques):
-            if old & mask:
-                meet |= 1 << i
-        # no three parts pairwise intersecting
-        for i in bits(meet):
-            if inter[i] & meet:
-                return None
-        return new_edges, meet
-
-    def search():
-        nonlocal covered
-        if covered == (1 << m) - 1:
-            results.append(list(cliques))
-            return not collect_all
-        low = (~covered) & ((1 << m) - 1)
-        eid = (low & -low).bit_length() - 1
-        u, v = edges[eid]
-        for mask in candidate_cliques(u, v):
-            placed = place(mask)
-            if placed is None:
-                continue
-            new_edges, meet = placed
-            idx = len(cliques)
-            cliques.append(mask)
-            inter.append(meet)
-            for i in bits(meet):
-                inter[i] |= 1 << idx
-            for w in bits(mask):
-                slots[w] += 1
-            covered |= new_edges
-            if search():
-                return True
-            covered &= ~new_edges
-            for w in bits(mask):
-                slots[w] -= 1
-            for i in bits(meet):
-                inter[i] &= ~(1 << idx)
-            inter.pop()
-            cliques.pop()
-        return False
-
-    search()
-    return results
+                if not rows[a] >> b & 1:
+                    raise NotALineGraphError(f"part through ({u},{v}) is not a clique")
+                if (a, b) in covered:
+                    raise NotALineGraphError(f"edge ({a},{b}) lies in two parts")
+                covered.add((a, b))
+        cliques.append(mask)
+    return cliques
 
 
-def root_graph(g: SimpleGraph, count_roots: bool = False) -> RootResult:
+def root_graph(g: SimpleGraph) -> RootResult:
     """Invert a connected closed claw-free graph to its triangle-free root.
 
-    The root is built from the first partition the search finds; it is
-    unique up to isomorphism for every such graph on three or more
-    vertices, and `count_roots` verifies that by exhausting the partition
-    search and counting distinct canonical forms.  Raises
-    NotALineGraphError with a claw certificate when no root exists,
+    The Krausz partition is read off the edges (`_krausz_cliques`); for such
+    a graph it is unique, and so is the root up to isomorphism.  The
+    partition is validated and the root checked edge by edge against g.
+    Raises NotALineGraphError with a claw certificate when no root exists,
     NotClosedError when the closure would add edges.
     """
     if not is_connected(g):
@@ -251,22 +162,9 @@ def root_graph(g: SimpleGraph, count_roots: bool = False) -> RootResult:
         raise NotALineGraphError("input contains an induced claw", certificate=claw)
     if closure(g) != g:
         raise NotClosedError("input is not closure-stable")
-    if g.n == 1:
-        root = SimpleGraph(2, [(0, 1)])
-        part = KrauszPartition((), ((),))
-        return RootResult(root, (0,), part, 1 if count_roots else None)
-
-    found = _partition_search(g, collect_all=count_roots)
-    if not found:
-        raise NotALineGraphError("edge-clique partition search exhausted")
-
-    roots = []
-    for cliques in found:
-        root, v2e = _root_from_partition(g, cliques)
-        if not is_triangle_free(root):
-            raise GraphError("partition produced a root triangle")
-        _check_line_correspondence(g, root, v2e)
-        roots.append((root, v2e))
-    root, v2e = roots[0]
-    count = len({canonical_form(r) for r, _ in roots}) if count_roots else None
-    return RootResult(root, v2e, validate_krausz(g, found[0]), count)
+    part = validate_krausz(g, _krausz_cliques(g))
+    root, v2e = _root_from_partition(part)
+    if not is_triangle_free(root):
+        raise GraphError("partition produced a root triangle")
+    _check_line_correspondence(g, root, v2e)
+    return RootResult(root, v2e, part)

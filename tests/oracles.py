@@ -12,6 +12,7 @@ from clawham.graphs import (
     LimitExceeded,
     Multigraph,
     SimpleGraph,
+    bits,
     is_connected,
     is_essentially_2_edge_connected,
 )
@@ -79,3 +80,87 @@ def verify_line_iso(h: Multigraph, g: SimpleGraph) -> bool:
     """Does L(h) realize g up to isomorphism?"""
     lg, _ = line_graph(h)
     return are_isomorphic(lg, g)
+
+
+def krausz_partitions_brute(g: SimpleGraph) -> list:
+    """Every edge-clique partition of g with each vertex in at most two
+    parts and no three parts pairwise intersecting, by backtracking.
+
+    The branch edge is the first uncovered one; the candidates are the
+    cliques through it made of vertices with a free part slot and joined by
+    uncovered edges, largest first.  Crossing parts (three pairwise
+    intersecting) are rejected as they appear, which is the triangle-free
+    condition on the root.
+    """
+    rows = g.rows
+    edges = g.edges
+    full = (1 << len(edges)) - 1
+    eid_of = {e: i for i, e in enumerate(edges)}
+    covered = 0
+    slots = [0] * g.n
+    cliques = []
+    inter = []  # inter[i] = mask of clique indices meeting clique i
+    results = []
+
+    def free(a, b):
+        return not covered >> eid_of[(a, b) if a < b else (b, a)] & 1
+
+    def candidate_cliques(u, v):
+        if slots[u] > 1 or slots[v] > 1:
+            return []
+        base = (1 << u) | (1 << v)
+        pool = [
+            w
+            for w in bits(rows[u] & rows[v])
+            if slots[w] <= 1 and free(u, w) and free(v, w)
+        ]
+        outs = []
+
+        def grow(mask, cand):
+            outs.append(mask)
+            for i, w in enumerate(cand):
+                if all(rows[w] >> x & 1 and free(w, x) for x in bits(mask & ~base)):
+                    grow(mask | (1 << w), cand[i + 1 :])
+
+        grow(base, pool)
+        outs.sort(key=lambda mk: (-mk.bit_count(), mk))
+        return outs
+
+    def search():
+        nonlocal covered
+        if covered == full:
+            results.append(list(cliques))
+            return
+        low = ~covered & full
+        u, v = edges[(low & -low).bit_length() - 1]
+        for mask in candidate_cliques(u, v):
+            meet = 0
+            for i, old in enumerate(cliques):
+                if old & mask:
+                    meet |= 1 << i
+            if any(inter[i] & meet for i in bits(meet)):
+                continue  # three parts would pairwise intersect
+            vs = tuple(bits(mask))
+            new_edges = 0
+            for i, a in enumerate(vs):
+                for b in vs[i + 1 :]:
+                    new_edges |= 1 << eid_of[(a, b)]
+            idx = len(cliques)
+            cliques.append(mask)
+            inter.append(meet)
+            for i in bits(meet):
+                inter[i] |= 1 << idx
+            for w in vs:
+                slots[w] += 1
+            covered |= new_edges
+            search()
+            covered &= ~new_edges
+            for w in vs:
+                slots[w] -= 1
+            for i in bits(meet):
+                inter[i] &= ~(1 << idx)
+            inter.pop()
+            cliques.pop()
+
+    search()
+    return results

@@ -28,11 +28,12 @@ from clawham.graphs import (
 from clawham.linegraph import (
     NotALineGraphError,
     NotClosedError,
+    _krausz_cliques,
     line_graph,
     root_graph,
     validate_krausz,
 )
-from oracles import verify_line_iso
+from oracles import krausz_partitions_brute, verify_line_iso
 
 
 def test_line_graph_small_catalog():
@@ -62,9 +63,10 @@ def test_line_graph_adjacency_is_shared_endpoint():
 
 
 def test_root_of_triangle_is_the_claw():
-    res = root_graph(complete_graph(3), count_roots=True)
+    res = root_graph(complete_graph(3))
     assert are_isomorphic(res.root, star_graph(3))
-    assert res.root_count == 1  # K3's other root K3 has a triangle
+    # K3's other root K3 has a triangle: its three parts pairwise intersect
+    assert krausz_partitions_brute(complete_graph(3)) == [list(res.partition.cliques)]
     assert is_triangle_free(res.root)
 
 
@@ -123,12 +125,12 @@ def test_single_vertex_root_is_an_edge():
 def test_whitney_ambiguity_resolved_by_triangle_freeness():
     """L(K3) = L(K1,3) = K3 is the classical ambiguity; triangle-free
     filtering leaves only the claw."""
-    res = root_graph(complete_graph(3), count_roots=True)
-    assert res.root_count == 1
+    k3 = complete_graph(3)
+    assert len(krausz_partitions_brute(k3)) == 1
+    assert are_isomorphic(root_graph(k3).root, star_graph(3))
     # whereas C5's root is C5 itself, unique outright
-    res = root_graph(cycle_graph(5), count_roots=True)
-    assert res.root_count == 1
-    assert are_isomorphic(res.root, cycle_graph(5))
+    assert len(krausz_partitions_brute(cycle_graph(5))) == 1
+    assert are_isomorphic(root_graph(cycle_graph(5)).root, cycle_graph(5))
 
 
 def test_krausz_validator_accepts_real_partitions():
@@ -173,11 +175,39 @@ def test_roots_of_closed_claw_free_graphs_exist_and_are_unique():
         if c.edges != g.edges:
             continue  # only closed representatives
         seen += 1
-        res = root_graph(c, count_roots=True)
-        assert res.root_count == 1
+        res = root_graph(c)
+        assert krausz_partitions_brute(c) == [list(res.partition.cliques)]
         assert is_triangle_free(res.root) and res.root.is_simple
         assert verify_line_iso(res.root, c)
     assert seen > 0
+
+
+def test_krausz_parts_match_the_partition_oracle():
+    """On closed claw-free graphs the partition is unique, and the parts
+    read off the edges are it, in the oracle's order."""
+    closures = [
+        closure(g)
+        for g in enumerate_graphs(
+            FamilySpec(n_min=3, n_max=8, two_connected=True, claw_free=True)
+        )
+    ]
+    hosts = list(
+        enumerate_graphs(FamilySpec(n_min=2, n_max=7, connected=True, triangle_free=True))
+    )
+    assert (len(closures), len(hosts)) == (789, 89)
+    for g in closures + [line_graph(h)[0] for h in hosts]:
+        assert krausz_partitions_brute(g) == [list(root_graph(g).partition.cliques)]
+
+
+def test_krausz_parts_reject_non_line_graphs():
+    """root_graph turns the diamond away as not closed, so the part reader
+    is called directly; each labelling breaks it a different way."""
+    shared = SimpleGraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    with pytest.raises(NotALineGraphError, match="lies in two parts"):
+        _krausz_cliques(shared)
+    gapped = SimpleGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    with pytest.raises(NotALineGraphError, match="not a clique"):
+        _krausz_cliques(gapped)
 
 
 # sha256 over (graph6 of the closure, root order, root edges, vertex_to_edge,
@@ -188,33 +218,23 @@ FROZEN_ROOTS_N7 = (170, "75899c05744c5b1f4d0ad8a41080bb09361e35729d86bf1094f8fe5
 
 
 def test_only_counting_canonizes_roots(monkeypatch):
-    """Without count_roots the search stops at the first partition, so
-    there is nothing to choose between: root_graph must not canonize.  The
-    labeled root is the same with or without counting, and the digest pins
-    it."""
+    """The partition is read off the edges, so there is nothing to choose
+    between: root_graph must not canonize.  The digest pins the labeled
+    roots."""
     closed = [
         closure(g)
         for g in enumerate_graphs(
             FamilySpec(n_min=3, n_max=7, two_connected=True, claw_free=True)
         )
     ]
-    counted = [root_graph(c, count_roots=True) for c in closed]
-    assert all(res.root_count == 1 for res in counted)
 
     def no_canon(*args, **kwargs):
-        raise AssertionError("canonical_form called without count_roots")
+        raise AssertionError("canonical_form called by root_graph")
 
     monkeypatch.setattr("clawham.linegraph.canonical_form", no_canon)
     digest = hashlib.sha256()
-    for c, with_count in zip(closed, counted):
+    for c in closed:
         res = root_graph(c)
-        assert res.root_count is None
-        assert (res.root.n, res.root.edges, res.vertex_to_edge, res.partition) == (
-            with_count.root.n,
-            with_count.root.edges,
-            with_count.vertex_to_edge,
-            with_count.partition,
-        )
         digest.update(
             repr(
                 (write_graph6(c), res.root.n, res.root.edges, res.vertex_to_edge,

@@ -139,7 +139,7 @@ def test_root_failure_is_reported_not_raised(monkeypatch, name, error, verdict):
     counted counterexample or cap note, and the sweep runs to the end."""
     calls = []
 
-    def broken_root(g, count_roots=False):
+    def broken_root(g):
         calls.append(g)
         raise error("injected root failure")
 
@@ -247,6 +247,15 @@ def test_cli_single_instance_commands(capsys):
     assert main(["root", "--g6", "D?{"]) == 1  # the claw is not a line graph
     assert main(["collapsible", "--g6", "C~"]) == 0
     assert main(["collapsible", "--g6", "Dhc"]) == 1
+
+
+def test_cli_root_prints_the_root_alone(capsys):
+    """K4 is L(K1,4); the root is unique, so there is no count to ask for."""
+    assert main(["root", "--g6", "C~"]) == 0
+    assert capsys.readouterr().out == "Ds_\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["root", "--g6", "C~", "--count-roots"])
+    assert exc.value.code == 2
 
 
 def test_cli_invalid_inputs_exit_2(tmp_path, capsys):
