@@ -1,11 +1,12 @@
-"""Canonical forms, isomorphism tests, and automorphism orbits.
+"""Canonical forms, canonical labelings and isomorphism tests.
 
 Exact for n <= 16, by one engine: equitable partition refinement plus
 individualize-and-refine backtracking.  Nearly-rigid graphs (the bulk of
 every sweep) short-cut through a brute minimum over the few orderings
 consistent with the refined partition; the backtracking path handles the
-symmetric stragglers with automorphism pruning.  Equal form bytes <=>
-isomorphic.
+symmetric stragglers, pruning with the automorphisms it meets on the way.
+Equal form bytes <=> isomorphic.  The engine returns the form and the
+canonical order.
 
 Multigraphs go through the same engine.  A row gives each vertex u a
 `width`-bit field at bit width*u, width being the largest multiplicity, and
@@ -105,24 +106,13 @@ def _leafkey_simple(rows, order, pos, width=1):
 def _brute_min_simple(rows, cells, n, width=1):
     pools = [tuple(bits(c)) for c in cells]
     pos = [0] * (n * width)
-    best_key = None
-    best_orders = None
+    best_key = best_order = None
     for choice in itertools.product(*(itertools.permutations(p) for p in pools)):
         order = [v for grp in choice for v in grp]
         key = _leafkey_simple(rows, order, pos, width)
         if best_key is None or key < best_key:
-            best_key = key
-            best_orders = [order]
-        elif key == best_key:
-            best_orders.append(order)
-    gens = []
-    o0 = best_orders[0]
-    for other in best_orders[1:]:
-        p = [0] * n
-        for a, b in zip(o0, other):
-            p[a] = b
-        gens.append(tuple(p))
-    return best_key, o0, gens
+            best_key, best_order = key, order
+    return best_key, best_order
 
 
 def _ir_search_simple(rows, cells0, n, width=1):
@@ -190,39 +180,17 @@ def _ir_search_simple(rows, cells0, n, width=1):
             explored.append(v)
 
     search(list(cells0), ())
-    return state["best_key"], state["best_order"], gens
-
-
-def _orbits_from_gens(n, gens):
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for p in gens:
-        for a in range(n):
-            ra, rb = find(a), find(p[a])
-            if ra != rb:
-                parent[ra] = rb
-    reps = [find(a) for a in range(n)]
-    norm = {}
-    for a in range(n):
-        norm.setdefault(reps[a], min(b for b in range(n) if reps[b] == reps[a]))
-    return tuple(norm[r] for r in reps)
+    return state["best_key"], state["best_order"]
 
 
 def canon_simple_rows(n, rows, cells=None, *, width=1):
     """Canonize a graph given as adjacency rows of width-bit fields.
 
-    Returns (form_bytes, order, orbits) where order[i] is the original
-    vertex placed at canonical position i, and orbits gives a sound (may be
-    refined) orbit representative per vertex.
+    Returns (form_bytes, order) where order[i] is the original vertex
+    placed at canonical position i.
     """
     if n == 0:
-        return b"S\x00|", (), ()
+        return b"S\x00|", ()
     init = [(1 << n) - 1] if cells is None else list(cells)
     sizes = bytes(c.bit_count() for c in init)
     refined = _refine_simple(rows, init, width)
@@ -232,9 +200,9 @@ def canon_simple_rows(n, rows, cells=None, *, width=1):
         if prod > _BRUTE_CAP:
             break
     if prod <= _BRUTE_CAP:
-        key, order, gens = _brute_min_simple(rows, refined, n, width)
+        key, order = _brute_min_simple(rows, refined, n, width)
     else:
-        key, order, gens = _ir_search_simple(rows, refined, n, width)
+        key, order = _ir_search_simple(rows, refined, n, width)
     field = (1 << width) - 1
     acc = 0
     for i in range(n):
@@ -245,7 +213,7 @@ def canon_simple_rows(n, rows, cells=None, *, width=1):
     payload = acc.to_bytes((nbits + 7) // 8, "big") if nbits else b""
     head = b"S" if width == 1 else b"M%d," % width
     form = head + bytes([n]) + sizes + b"|" + payload
-    return form, tuple(order), _orbits_from_gens(n, gens)
+    return form, tuple(order)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +230,8 @@ def _validate_colors(n, colors):
         if m & cover:
             raise GraphError("color classes must be disjoint")
         cover |= m
-        cells.append(m)
+        if m:  # an empty cell would put vertex -1 in the order and 0 in the header
+            cells.append(m)
     if cover != (1 << n) - 1 and n > 0:
         raise GraphError("color classes must cover all vertices")
     return cells
@@ -290,20 +259,11 @@ def canonical_form(g: Multigraph, colors=None) -> bytes:
 
 def canonical_labeling(g: Multigraph, colors=None):
     """(perm, form) with perm[old] = canonical position of old."""
-    form, order, _ = _canon(g, colors)
+    form, order = _canon(g, colors)
     perm = [0] * g.n
     for i, v in enumerate(order):
         perm[v] = i
     return tuple(perm), form
-
-
-def automorphism_orbits(g: Multigraph, colors=None):
-    """Orbit representative per vertex under discovered automorphisms.
-
-    Sound (vertices sharing a representative are genuinely equivalent) but
-    callers needing completeness should fall back to form comparisons.
-    """
-    return _canon(g, colors)[2]
 
 
 def are_isomorphic(g: Multigraph, h: Multigraph) -> bool:

@@ -1,12 +1,16 @@
 """Isomorph-free exhaustive generation of small graph families, plus the
 structured instance generators used by the named verification sweeps.
 
-Simple graphs come from canonical augmentation: level k extends each
-canonically labeled graph on k-1 vertices by one new vertex and keeps a
-child exactly when deleting the new vertex lands in the same class as
-deleting the vertex at the last canonical position.  That acceptance rule
-makes every class appear from exactly one parent class, so a per-parent
-dedup suffices.  Hereditary constraints (triangle-free, claw-free, edge
+Simple graphs come from canonical augmentation (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998): level k extends each
+canonically labeled graph on k-1 vertices by one new vertex.  A child's
+canonical deletion is its last vertex of minimum degree in canonical
+order, and the child is kept exactly when deleting that vertex lands in
+the parent's class.  So every class appears from exactly one parent class
+and a per-parent dedup suffices.  A kept child gives its new vertex the
+minimum degree (deletions of different degrees leave different edge
+counts), so neighborhoods that would not are skipped before any canonical
+form is computed.  Hereditary constraints (triangle-free, claw-free, edge
 budget) prune during generation; everything else filters afterwards.
 
 The slow oracles that cross-check these generators (extend everything and
@@ -136,28 +140,36 @@ def _extend_level(prev, k, triangle_free, claw_free, max_edges):
     out = []
     new = k - 1
     for prows, pform in prev:
-        pm = sum(r.bit_count() for r in prows) // 2
+        pdeg = [r.bit_count() for r in prows]
+        pm = sum(pdeg) // 2
+        # the new vertex must keep the minimum degree: degree at most
+        # delta + 1, and at delta + 1 adjacent to every old vertex of degree delta
+        delta = min(pdeg)
+        lows = sum(1 << i for i in range(new) if pdeg[i] == delta)
         kids_seen = set()
-        for smask in range(1 << (k - 1)):
-            if max_edges is not None and pm + smask.bit_count() > max_edges:
+        for smask in range(1 << new):
+            d = smask.bit_count()
+            if d > delta + 1 or (d == delta + 1 and lows & ~smask):
+                continue
+            if max_edges is not None and pm + d > max_edges:
                 continue
             if not _new_vertex_ok(prows, k, smask, triangle_free, claw_free):
                 continue
             crows = tuple(
                 (prows[i] | (1 << new)) if smask >> i & 1 else prows[i]
-                for i in range(k - 1)
+                for i in range(new)
             ) + (smask,)
-            form, order, orbits = canon_simple_rows(k, crows)
+            form, order = canon_simple_rows(k, crows)
             if form in kids_seen:
                 continue
-            w = order[k - 1]
-            if w != new and orbits[w] != orbits[new]:
-                degs = [crows[i].bit_count() for i in range(k)]
+            degs = [r.bit_count() for r in crows]
+            w = next(v for v in reversed(order) if degs[v] == d)
+            if w != new:
                 if _deg_multiset_after_delete(
                     crows, k, degs, new
                 ) != _deg_multiset_after_delete(crows, k, degs, w):
                     continue
-                dform, _, _ = canon_simple_rows(k - 1, _delete_vertex(crows, k, w))
+                dform, _ = canon_simple_rows(new, _delete_vertex(crows, k, w))
                 if dform != pform:
                     continue
             kids_seen.add(form)

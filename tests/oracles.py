@@ -33,7 +33,7 @@ def enumerate_by_dedup(n: int):
                     (rows[i] | (1 << (k - 1))) if smask >> i & 1 else rows[i]
                     for i in range(k - 1)
                 ) + (smask,)
-                form, _, _ = canon_simple_rows(k, crows)
+                form, _ = canon_simple_rows(k, crows)
                 if form not in nxt:
                     nxt[form] = crows
         level = nxt

@@ -3,7 +3,10 @@ the -v output) per criterion, wall-clock budgets pinned as assertions.
 
 Budgets are generous relative to measured times on a stock container;
 they exist to catch complexity regressions, not scheduling jitter.
-Sweeps run at their full advertised caps here, nowhere else in the suite.
+Sweeps run at their full advertised caps here, nowhere else in the suite,
+and each pins its instance count at that cap.  The three sweeps that no
+criterion names (dct-or-heavy-matching, collapsible-remainder, spider-net)
+run here too, after the criteria.
 """
 import itertools
 import json
@@ -13,6 +16,7 @@ import time
 import pytest
 
 from clawham.canon import canonical_form
+from clawham import enumeration
 from clawham.enumeration import FamilySpec, enumerate_graphs
 from clawham.graphio import parse_graph6, write_graph6
 from clawham.graphs import (
@@ -68,7 +72,8 @@ def test_criterion_01_collapsibility_calibration():
 
 
 def test_criterion_02_five_cycle_attachment_sweep():
-    _sweep("criterion 2 (5-cycle attachment sweep)", "c5-attachment", 10)
+    res = _sweep("criterion 2 (5-cycle attachment sweep)", "c5-attachment", 10)
+    assert res.instances == 4
 
 
 def test_criterion_03_marked_edge_dct_sweep():
@@ -79,7 +84,7 @@ def test_criterion_03_marked_edge_dct_sweep():
         max_n=8,
         max_multiplicity=2,
     )
-    assert res.instances > 100_000  # the hypothesis class is genuinely large
+    assert res.instances == 150_468
 
 
 def test_criterion_04_line_hamilton_dct_equivalence():
@@ -93,34 +98,41 @@ def test_criterion_04_line_hamilton_dct_equivalence():
 
 
 def test_criterion_05_closure_sweep():
-    _sweep("criterion 5 (closure preservation + roots)", "closure", 900, max_n=9)
+    res = _sweep("criterion 5 (closure preservation + roots)", "closure", 900, max_n=9)
+    assert res.instances == 4_121
 
 
 def test_criterion_06_min_degree_sweep():
-    _sweep(
+    res = _sweep(
         "criterion 6 (minimum-degree Hamiltonicity)",
         "min-degree-hamilton",
         900,
         max_n=10,
     )
+    assert res.instances == 20_457
+    # the sweep built the claw-free level n = 10; all of it, not just the
+    # 2-connected members the sweep walks
+    assert len(enumeration._pool(10, False, True, None)) == 34_294
 
 
 def test_criterion_07_net_condition_sweep():
-    _sweep(
+    res = _sweep(
         "criterion 7 (net condition + pipeline agreement)",
         "net-condition-hamilton",
         1800,
         max_n=10,
     )
+    assert res.instances == 25_031
 
 
 def test_criterion_08_matching_degree_sum_sweep():
-    _sweep(
+    res = _sweep(
         "criterion 8 (3-matching edge-degree bound)",
         "matching-degree-sum",
         600,
         max_n=8,
     )
+    assert res.instances == 4
 
 
 def test_criterion_09_lift_dct_random_suite():
@@ -175,12 +187,13 @@ def test_criterion_09_lift_dct_random_suite():
 
 
 def test_criterion_10_short_cycle_collapsibility_sweep():
-    _sweep(
+    res = _sweep(
         "criterion 10 (short-cycle hypothesis implies collapsible)",
         "short-cycle-collapsible",
         600,
         max_n=8,
     )
+    assert res.instances == 2_724
 
 
 def test_criterion_11_gadget_fixture_replays():
@@ -188,6 +201,7 @@ def test_criterion_11_gadget_fixture_replays():
     first = run_check("gadget")
     second = run_check("gadget")
     assert first.verdict == second.verdict == "pass"
+    assert first.instances == 1
     assert first.to_json(with_elapsed=False) == second.to_json(with_elapsed=False)
     assert first.params == {"sct_expected": False, "dct_expected": True}
     _report("criterion 11 (gadget fixture frozen replay)", time.perf_counter() - t0, 60)
@@ -225,3 +239,33 @@ def test_criterion_12_infrastructure():
         assert len(stream) == len(set(stream)) == len(oracle)
         assert set(stream) == oracle
     _report("criterion 12 (graph6 + canon + enumeration infra)", time.perf_counter() - t0, 300)
+
+
+def test_dct_or_heavy_matching_sweep():
+    res = _sweep(
+        "dct-or-heavy-matching (DCT or heavy 4-matching in the root)",
+        "dct-or-heavy-matching",
+        600,
+        max_n=10,
+    )
+    assert res.instances == 23_608
+
+
+def test_collapsible_remainder_sweep():
+    res = _sweep(
+        "collapsible-remainder (essentially 2-edge-connected, n <= 8)",
+        "collapsible-remainder",
+        600,
+        max_n=8,
+    )
+    assert res.instances == 11_493
+
+
+def test_spider_net_sweep():
+    res = _sweep(
+        "spider-net (net condition with a subdivided claw, n <= 9)",
+        "spider-net",
+        300,
+        max_n=9,
+    )
+    assert res.instances == 0  # no member of the family reaches the claim

@@ -1,4 +1,4 @@
-"""Canonical form, labeling, orbits, isomorphism.
+"""Canonical form, labeling, isomorphism.
 
 Invariance is the load-bearing property: relabeling a graph must never
 change its canonical form, and two graphs get equal forms exactly when
@@ -9,7 +9,6 @@ import itertools
 
 from clawham.canon import (
     are_isomorphic,
-    automorphism_orbits,
     canon_simple_rows,
     canonical_form,
     canonical_labeling,
@@ -21,6 +20,7 @@ from clawham.graphs import (
     Multigraph,
     SimpleGraph,
     complete_bipartite,
+    complete_graph,
     cycle_graph,
     path_graph,
     relabel,
@@ -135,24 +135,6 @@ def test_classic_distinguishers():
     assert not are_isomorphic(path_graph(4), star_graph(3))
 
 
-def test_orbits_never_coarser_than_truth(rng):
-    """Vertices reported in one orbit must really be swappable by an
-    automorphism (brute force); refinements are allowed, mergers are not."""
-    for _ in range(60):
-        g = random_graph(rng, rng.randint(2, 6), rng.choice([0.3, 0.6]))
-        orbits = automorphism_orbits(g)
-        assert len(orbits) == g.n
-        autos = [
-            perm
-            for perm in itertools.permutations(range(g.n))
-            if _mapped_edges(g, perm) == list(g.edges)
-        ]
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if orbits[u] == orbits[v]:
-                    assert any(perm[u] == v for perm in autos)
-
-
 def test_vertex_colors_respected():
     g = path_graph(3)
     mid_marked = canonical_form(g, colors=[0b101, 0b010])
@@ -170,6 +152,20 @@ def test_colors_must_partition():
         canonical_form(g, colors=[0b001, 0b011])  # overlap
     with pytest.raises(GraphError):
         canonical_form(g, colors=[0b001])  # vertex 1, 2 uncovered
+
+
+def test_empty_color_class_is_ignored():
+    """An empty class neither shifts the labeling off 0..n-1 nor changes
+    the form; K8 with all of it in one class takes the search path."""
+    g = complete_graph(8)
+    everyone = (1 << 8) - 1
+    perm, form = canonical_labeling(g, colors=[everyone, 0])
+    assert sorted(perm) == list(range(8))
+    assert form == canonical_form(g, colors=[everyone])
+    h = path_graph(4)
+    for colors in ([0b0110, 0b1001], [0b1111]):
+        assert canonical_form(h, colors=[0] + colors) == canonical_form(h, colors=colors)
+        assert sorted(canonical_labeling(h, colors=colors + [0])[0]) == list(range(4))
 
 
 def test_multigraph_forms_track_multiplicity():
@@ -245,7 +241,6 @@ def test_multigraph_relabel_invariance(rng):
 def test_canon_rows_contract(rng):
     for _ in range(50):
         g = random_simple(rng, rng.randint(1, 7))
-        form, order, orbits = canon_simple_rows(g.n, g.rows)
+        form, order = canon_simple_rows(g.n, g.rows)
         assert isinstance(form, bytes)
         assert sorted(order) == list(range(g.n))
-        assert all(orbits[orbits[v]] == orbits[v] for v in range(g.n))

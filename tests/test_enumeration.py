@@ -5,12 +5,14 @@ values and double-checked by an independent generate-all-and-dedup oracle
 in tests/oracles.py (itself exercised here against a third, test-local
 filter pipeline for the structured families).
 """
+import hashlib
 import itertools
 import json
 
 import pytest
 
 from clawham.canon import canonical_form
+from clawham import enumeration
 from clawham.clawfree import is_claw_free
 from clawham.enumeration import (
     ENUMERATE_MAX_N,
@@ -36,6 +38,27 @@ ALL_GRAPH_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853]
 # unlabeled triangle-free simple graphs on n = 1..7
 TRIANGLE_FREE_COUNTS = [1, 2, 3, 7, 14, 38, 107]
+# unlabeled claw-free simple graphs on n = 1..9
+CLAW_FREE_COUNTS = [1, 2, 4, 10, 26, 85, 302, 1285, 6170]
+
+# (max_n, triangle_free, claw_free) -> class counts for n = 1..max_n and
+# the SHA-256 of repr(level) over those levels, taken from the generator
+# that accepted a child by automorphism orbits; the minimum-degree rule
+# must give the same lists, in the same order, with the same rows.
+FROZEN_POOLS = {
+    (8, False, False): (
+        ALL_GRAPH_COUNTS + [12346],
+        "dd6ece06234642c3be09493dcb556e6080d0e941042cf2d4db113b9f91f56844",
+    ),
+    (9, False, True): (
+        CLAW_FREE_COUNTS,
+        "03be130fd5fb270f1fcd1f5d37a4a91c0553257ae3f724bd7bd374a48cca7fbb",
+    ),
+    (9, True, False): (
+        TRIANGLE_FREE_COUNTS + [410, 1897],
+        "848f715f13b0341730820391f42e9d5eb4d48c66595355aa796f7f90a49d7b23",
+    ),
+}
 
 
 def spec_n(n, **kw):
@@ -55,6 +78,43 @@ def test_connected_counts_match_frozen():
 def test_triangle_free_counts_match_frozen():
     for n, expect in enumerate(TRIANGLE_FREE_COUNTS, start=1):
         assert count_graphs(spec_n(n, triangle_free=True)) == expect
+
+
+@pytest.mark.parametrize("key", FROZEN_POOLS)
+def test_pools_are_frozen(key):
+    max_n, triangle_free, claw_free = key
+    counts, digest = FROZEN_POOLS[key]
+    sha = hashlib.sha256()
+    got = []
+    for n in range(1, max_n + 1):
+        level = enumeration._pool(n, triangle_free, claw_free, None)
+        got.append(len(level))
+        sha.update(repr(level).encode())
+    assert got == counts
+    assert sha.hexdigest() == digest
+
+
+def test_children_give_the_new_vertex_the_minimum_degree(monkeypatch):
+    """Every child canonized in a fresh claw-free build gives its new vertex
+    (the last row) the minimum degree; the others are skipped unseen."""
+    level, checked = [0], [0]
+    extend, canon = enumeration._extend_level, enumeration.canon_simple_rows
+
+    def tracked_extend(prev, k, *flags):
+        level[0] = k
+        return extend(prev, k, *flags)
+
+    def tracked_canon(n, rows, *args, **kwargs):
+        if n == level[0]:  # a child; deletions have one vertex fewer
+            assert rows[-1].bit_count() == min(r.bit_count() for r in rows)
+            checked[0] += 1
+        return canon(n, rows, *args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "_POOLS", {})
+    monkeypatch.setattr(enumeration, "_extend_level", tracked_extend)
+    monkeypatch.setattr(enumeration, "canon_simple_rows", tracked_canon)
+    assert len(enumeration._pool(8, False, True, None)) == CLAW_FREE_COUNTS[7]
+    assert checked[0] > 1000
 
 
 def test_pools_match_dedup_oracle():
