@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run every verification sweep at its full default cap and dump a report.
 
-This is the long-form experiment: at the defaults it takes about two and a half
-minutes on one core (147 s on a 2.1 GHz Xeon).  For a smoke run, pass a small
+This is the long-form experiment: at the defaults it takes about two minutes
+on one core (127 s on a 2.1 GHz Xeon).  For a smoke run, pass a small
 --max-n to override every family size cap at once.
 
     python3 scripts/run_all_checks.py --json reports/full.json

@@ -155,26 +155,31 @@ def _ir_search_simple(rows, cells0, n, width=1):
             return
         target = cells[idx]
         explored = []
+        # orbits of the generators that fix path, in a union-find that
+        # takes in each generator once, as the search below finds it
+        parent = list(range(n))
+        taken = 0
+        joined = False
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
         for v in bits(target):
-            if explored and gens:
-                fix = [p for p in gens if all(p[x] == x for x in path)]
-                if fix:
-                    parent = list(range(n))
-
-                    def find(a):
-                        while parent[a] != a:
-                            parent[a] = parent[parent[a]]
-                            a = parent[a]
-                        return a
-
-                    for p in fix:
-                        for a in range(n):
-                            ra, rb = find(a), find(p[a])
-                            if ra != rb:
-                                parent[ra] = rb
-                    rv = find(v)
-                    if any(find(u) == rv for u in explored):
-                        continue
+            for p in gens[taken:]:
+                if all(p[x] == x for x in path):
+                    joined = True
+                    for a in range(n):
+                        ra, rb = find(a), find(p[a])
+                        if ra != rb:
+                            parent[ra] = rb
+            taken = len(gens)
+            if joined:
+                rv = find(v)
+                if any(find(u) == rv for u in explored):
+                    continue
             child = cells[:idx] + [1 << v, target ^ (1 << v)] + cells[idx + 1 :]
             search(child, path + (v,))
             explored.append(v)

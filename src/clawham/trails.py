@@ -10,6 +10,13 @@ even edge set carries an Euler closed trail.  The sweep walks the whole
 space in Gray-code order with incremental degree bookkeeping, after a
 budgeted simple-cycle pass that settles most positive instances early.
 
+Collapsibility uses Catlin's reduction ("A reduction method to find
+spanning Eulerian subgraphs", JGT 1988): G is collapsible iff G/H is, for
+any collapsible subgraph H.  2-cycles and triangles are collapsible, so
+they are contracted until none is left; almost every collapsible graph the
+sweeps meet reduces to one vertex.  What remains is decided exactly, by
+one parity-subgraph search per even vertex set.
+
 Every cap below guards an exponential search; exceeding one raises
 LimitExceeded rather than silently approximating.  The searches read the
 caps when they run, so a test can lower one with monkeypatch.
@@ -148,8 +155,11 @@ def _euler_trail(g: Multigraph, emask: int, start: int) -> Trail:
 
 
 def _dominates(g: Multigraph, vmask: int) -> bool:
-    for u, v in g.support_pairs:
-        if not vmask >> u & 1 and not vmask >> v & 1:
+    """Every edge has an end in vmask: no vertex outside it has a
+    neighbour outside it."""
+    rows = g.rows
+    for u in bits(~vmask & ((1 << g.n) - 1)):
+        if rows[u] & ~vmask:
             return False
     return True
 
@@ -441,12 +451,49 @@ def _hamilton_dp(rows, n):
 # collapsibility
 
 
+# answers for reduced graphs, keyed by canonical form (by the labeled graph
+# past CANON_MAX_N)
 _collapsible_memo: dict = {}
+
+
+def _catlin_reduce(h: Multigraph) -> Multigraph:
+    """Contract 2-cycles and triangles until none is left.
+
+    Each step contracts the first parallel pair in edge order or, when
+    there is none, the first edge uv with a common neighbour together with
+    the lowest such neighbour.  Both are collapsible, so the quotient is
+    collapsible exactly when h is (Catlin 1988).  Returns h itself when
+    nothing contracts.
+    """
+    while h.n > 1:
+        pairs = h.edges
+        fmask = 0
+        for a, b in zip(pairs, pairs[1:]):
+            if a == b:
+                fmask = 1 << a[0] | 1 << a[1]
+                break
+        else:
+            rows = h.rows
+            for u, v in pairs:
+                common = rows[u] & rows[v]
+                if common:
+                    fmask = 1 << u | 1 << v | common & -common
+                    break
+        if not fmask:
+            break
+        h = contract(h, fmask).quotient
+    return h
 
 
 def is_collapsible(h: Multigraph) -> bool:
     """Can h absorb any parity demand?  True iff for every even vertex set
     R there is a spanning connected subgraph whose odd-degree set is R.
+
+    COLLAPSIBLE_MAX_EDGES applies to h as given.  h is then reduced by
+    _catlin_reduce; a reduction to one vertex answers True at once.
+    Otherwise the reduced graph is decided exactly: a bridge answers
+    False, and else one parity_subgraph per even vertex set.  The answer
+    is memoized on the reduced graph's canonical form.
     """
     if h.n == 0:
         raise GraphError("collapsibility needs at least one vertex")
@@ -458,7 +505,11 @@ def is_collapsible(h: Multigraph) -> bool:
         raise LimitExceeded(
             f"{h.edge_count} edges exceed the collapsibility cap {COLLAPSIBLE_MAX_EDGES}"
         )
-    key = canonical_form(h) if h.n <= CANON_MAX_N else ("labeled", h)
+    h = _catlin_reduce(h)
+    n = h.n
+    if n == 1:
+        return True
+    key = canonical_form(h) if n <= CANON_MAX_N else ("labeled", h)
     hit = _collapsible_memo.get(key)
     if hit is not None:
         return hit
@@ -468,7 +519,6 @@ def is_collapsible(h: Multigraph) -> bool:
         _collapsible_memo[key] = False
         return False
     ans = True
-    n = h.n
     for r in range(0, 1 << (n - 1)):
         rmask = r << 1
         if rmask.bit_count() & 1:

@@ -13,10 +13,12 @@ from clawham.graphs import (
     Multigraph,
     SimpleGraph,
     bits,
+    bridges,
     is_connected,
     is_essentially_2_edge_connected,
 )
 from clawham.linegraph import line_graph
+from clawham.trails import parity_subgraph
 
 
 def enumerate_by_dedup(n: int):
@@ -74,6 +76,24 @@ def marked_edge_instances_brute(n: int, max_multiplicity: int = 2) -> list:
                 seen.add(key)
                 out.append(MarkedEdgeInstance(g, x, y))
     return out
+
+
+def collapsible_unreduced(h: Multigraph) -> bool:
+    """Collapsibility of a connected h with no reduction and no memo: a
+    bridge answers False, else every even vertex set must be the odd set
+    of some spanning connected subgraph."""
+    n = h.n
+    if n == 1:
+        return True
+    if bridges(h):
+        return False
+    for r in range(1 << (n - 1)):
+        rmask = r << 1
+        if rmask.bit_count() & 1:
+            rmask |= 1
+        if parity_subgraph(h, rmask) is None:
+            return False
+    return True
 
 
 def verify_line_iso(h: Multigraph, g: SimpleGraph) -> bool:

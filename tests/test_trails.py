@@ -1,9 +1,10 @@
 """Closed trails, Hamiltonicity, collapsibility, contraction lifting.
 
-The deciders get three independent reference points: an edge-subset
-oracle for trail existence (a closed trail exists exactly when some
-even-degree connected edge set does), a permutation/DFS oracle for
-Hamilton cycles, and the raw definition for collapsibility. The lifting
+The deciders get independent reference points: an edge-subset oracle for
+trail existence (a closed trail exists exactly when some even-degree
+connected edge set does), a permutation/DFS oracle for Hamilton cycles,
+and for collapsibility the raw definition and the parity search without
+the Catlin reduction (oracles.collapsible_unreduced). The lifting
 construction is validated end to end by the independent trail validator.
 """
 import itertools
@@ -12,6 +13,7 @@ import random
 import pytest
 
 from clawham import trails
+from clawham.enumeration import FamilySpec, enumerate_graphs
 from clawham.graphs import (
     GraphError,
     LimitExceeded,
@@ -40,6 +42,7 @@ from clawham.trails import (
     parity_subgraph,
     validate_closed_trail,
 )
+from oracles import collapsible_unreduced
 
 PETERSEN = SimpleGraph(
     10,
@@ -443,6 +446,39 @@ def test_collapsible_against_brute(rng):
         if g.edge_count > 9 or not is_connected(g):
             continue
         assert is_collapsible(g) == oracle_collapsible(g)
+
+
+def test_collapsible_matches_unreduced_oracle(rng):
+    """The reduced check agrees with the unreduced one on every connected
+    graph with n <= 7 and on a seeded batch of multigraphs."""
+    graphs = list(enumerate_graphs(FamilySpec(n_min=1, n_max=7, connected=True)))
+    assert len(graphs) == 996
+    while len(graphs) < 996 + 300:
+        g = random_multi(rng, rng.randint(2, 6), 0.5, max_mult=3)
+        if is_connected(g):
+            graphs.append(g)
+    for g in graphs:
+        assert is_collapsible(g) == collapsible_unreduced(g), g.edges
+
+
+def test_catlin_reduce_classics():
+    for g in (complete_graph(4), Multigraph(2, [(0, 1), (0, 1)]), complete_graph(5)):
+        assert trails._catlin_reduce(g).n == 1
+    for g in (cycle_graph(4), cycle_graph(5), complete_bipartite(3, 3), PETERSEN):
+        assert trails._catlin_reduce(g) == g
+    # a triangle with a pendant path keeps the path, now hung on the merged vertex
+    g = SimpleGraph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+    assert trails._catlin_reduce(g).edges == ((0, 1), (0, 2))
+
+
+def test_catlin_reduce_settles_short_cycle_graphs():
+    """169 of the 171 graphs with n <= 7 under the short-cycle hypothesis
+    reduce to one vertex; the other two still reach the parity search."""
+    hyp = [g for g in enumerate_graphs(FamilySpec(n_min=1, n_max=7)) if lai_hypothesis(g)]
+    assert len(hyp) == 171
+    left = [g for g in hyp if trails._catlin_reduce(g).n > 1]
+    assert len(left) == 2
+    assert all(is_collapsible(g) for g in left)
 
 
 def test_collapsible_implies_sct(rng):
